@@ -89,10 +89,7 @@ def write_bench_json(name: str, entries: list[dict], scale_name: str,
 
     Speedup is ``baseline_wall / wall`` with both sides divided by their
     host's calibration time; entries whose op has no committed baseline
-    keep ``speedup_vs_baseline: null``.  A row may carry a
-    ``baseline_op`` naming the committed op it should be compared
-    against — how variant rows (``eval_batch16_int8``, ...) resolve
-    against the pre-variant pinned op (``eval_batch16``).
+    keep ``speedup_vs_baseline: null``.
     """
     if calibration_s is None:
         calibration_s = machine_calibration()
@@ -101,8 +98,6 @@ def write_bench_json(name: str, entries: list[dict], scale_name: str,
     base_calib = (baseline or {}).get("calibration_s") or None
     for row in entries:
         base = base_ops.get(row["op"])
-        if not base and row.get("baseline_op"):
-            base = base_ops.get(row["baseline_op"])
         wall = row.get("wall_time_s")
         if not base or not wall or not base.get("wall_time_s"):
             continue

@@ -186,15 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--publish-interval", type=float, default=2.0,
                        help="seconds between telemetry publishes "
                             "(with --obs-dir)")
-    serve.add_argument("--threads", type=int, default=None,
-                       help="gemm pool threads for conv hot paths "
-                            "(default: REPRO_THREADS env or 1; results "
-                            "are bitwise identical for any count)")
-    serve.add_argument("--inference-mode", choices=("float32", "int8"),
-                       default="float32",
-                       help="numeric variant for fused eval: int8 "
-                            "quantizes conv weights per output channel "
-                            "(faster, small NRMS drift)")
 
     data = commands.add_parser(
         "data", help="sharded dataset store: build/merge/stats/verify")
@@ -270,13 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help="shard-parallel worker processes (checkpoint "
                           "runs only; results are worker-count invariant)")
-    run.add_argument("--threads", type=int, default=None,
-                     help="gemm pool threads inside each worker "
-                          "(default: REPRO_THREADS env or 1)")
-    run.add_argument("--inference-mode", choices=("float32", "int8"),
-                     default="float32",
-                     help="numeric variant for checkpoint forecasts "
-                          "(int8 reports carry an inference_mode marker)")
     run.add_argument("--out", type=Path, default=None,
                      help="write the JSON report here")
 
@@ -404,15 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "router registry")
     fleet_up.add_argument("--publish-interval", type=float, default=2.0,
                           help="seconds between telemetry publishes")
-    fleet_up.add_argument("--threads", type=int, default=None,
-                          help="gemm pool threads inside each worker "
-                               "(default: REPRO_THREADS env or 1; with "
-                               "--mode thread the last-started worker's "
-                               "setting wins process-wide)")
-    fleet_up.add_argument("--inference-mode",
-                          choices=("float32", "int8"), default="float32",
-                          help="numeric variant for worker fused eval "
-                               "(int8: faster, small NRMS drift)")
 
     fleet_status = fleet_commands.add_parser(
         "status", help="job spool counts and merged fleet telemetry")
@@ -728,9 +703,7 @@ def cmd_serve(args) -> int:
             print(f"[drift] reference profile loaded for {model_id}")
     engine = BatchingEngine(registry, max_batch=args.max_batch,
                             max_wait_ms=args.max_wait_ms, cache=cache,
-                            metrics=metrics, drift=drift,
-                            threads=args.threads,
-                            inference_mode=args.inference_mode)
+                            metrics=metrics, drift=drift)
     server = ForecastServer(engine, host=args.host, port=args.port,
                             verbose=args.verbose, obs_dir=args.obs_dir,
                             alert_rules=args.alert_rules,
@@ -898,29 +871,17 @@ def _run_eval(args) -> int:
             raise SystemExit(
                 "error: choose exactly one of --checkpoint, "
                 "--checkpoints + --model, or --baseline")
-        if args.threads is not None:
-            from repro.nn import parallel, set_num_threads
-
-            set_num_threads(args.threads)
-            # Spawned eval workers re-import fresh interpreters: carry
-            # the thread count through the environment as well.
-            os.environ[parallel.ENV_THREADS] = str(args.threads)
         if args.checkpoint:
-            forecaster = CheckpointForecaster.from_checkpoint(
-                args.checkpoint, inference_mode=args.inference_mode)
+            forecaster = CheckpointForecaster.from_checkpoint(args.checkpoint)
             identity = forecaster.identity
         elif args.baseline:
-            if args.inference_mode != "float32":
-                raise SystemExit(
-                    "error: --inference-mode applies to checkpoint "
-                    "forecasters, not baselines")
             forecaster, identity = make_baseline(args.baseline, store, split)
         else:
             from repro.serve import ModelRegistry
 
             registry = ModelRegistry.from_directory(args.checkpoints)
             forecaster = CheckpointForecaster.from_registry(
-                registry, args.model, inference_mode=args.inference_mode)
+                registry, args.model)
             identity = forecaster.identity
         result = evaluate_store(store, forecaster, workers=args.workers,
                                 **eval_kwargs)
@@ -1100,9 +1061,7 @@ def _fleet_up(args) -> int:
             cache=cache, obs_dir=args.obs_dir,
             publish_interval=args.publish_interval,
             max_inflight=args.max_inflight,
-            worker_queue_limit=args.queue_limit,
-            threads=args.threads,
-            inference_mode=args.inference_mode)
+            worker_queue_limit=args.queue_limit)
     except (FileNotFoundError, ValueError, WorkerError) as error:
         raise SystemExit(f"error: {error}") from None
     server = ForecastServer(router, host=args.host, port=args.port,

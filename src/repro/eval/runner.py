@@ -111,36 +111,23 @@ def parse_split(spec: str) -> SplitSpec:
 class CheckpointForecaster:
     """A :class:`Pix2Pix` checkpoint behind the eval forecaster protocol."""
 
-    def __init__(self, model, identity: dict,
-                 inference_mode: str = "float32"):
+    def __init__(self, model, identity: dict):
         self.model = model
         self.identity = dict(identity)
-        self.inference_mode = inference_mode
-        if inference_mode != "float32":
-            # Mark lossy variants in the report identity so an int8
-            # report can never pass as the float32 reference; float32
-            # identities (and their golden fingerprints) are unchanged.
-            self.identity["inference_mode"] = inference_mode
-            model.set_inference_mode(inference_mode)
 
     @classmethod
-    def from_checkpoint(cls, path, inference_mode: str = "float32"
-                        ) -> "CheckpointForecaster":
+    def from_checkpoint(cls, path) -> "CheckpointForecaster":
         """Load one checkpoint file (same loader the serve registry uses)."""
         from repro.serve.registry import load_checkpoint
 
         model, info = load_checkpoint(path)
-        return cls(model, _checkpoint_identity(info),
-                   inference_mode=inference_mode)
+        return cls(model, _checkpoint_identity(info))
 
     @classmethod
-    def from_registry(cls, registry, model_id: str,
-                      inference_mode: str = "float32"
-                      ) -> "CheckpointForecaster":
+    def from_registry(cls, registry, model_id: str) -> "CheckpointForecaster":
         """Wrap a model already warm-loaded in a serve ModelRegistry."""
         return cls(registry.get(model_id),
-                   _checkpoint_identity(registry.info(model_id)),
-                   inference_mode=inference_mode)
+                   _checkpoint_identity(registry.info(model_id)))
 
     def forecast_images(self, x: np.ndarray) -> np.ndarray:
         """Deterministic (noise-free) forecasts as (N, H, W, 3) in [0, 1].
@@ -261,11 +248,10 @@ _EVAL_WORKER: dict = {}
 
 def _init_eval_worker(store_root: str, checkpoint: str,
                       thresholds: tuple, roc_threshold: float,
-                      designs: list[str] | None, batch_size: int,
-                      inference_mode: str = "float32") -> None:
+                      designs: list[str] | None, batch_size: int) -> None:
     _EVAL_WORKER["store"] = ShardedStore.open(store_root)
     _EVAL_WORKER["forecaster"] = CheckpointForecaster.from_checkpoint(
-        checkpoint, inference_mode=inference_mode).warm(batch_size)
+        checkpoint).warm(batch_size)
     _EVAL_WORKER["metrics"] = metric_suite(thresholds=thresholds,
                                            roc_threshold=roc_threshold)
     _EVAL_WORKER["designs"] = designs
@@ -320,9 +306,7 @@ def evaluate_store(store: ShardedStore, forecaster, *,
         with _pool_context().Pool(
                 processes=workers, initializer=_init_eval_worker,
                 initargs=(str(store.root), checkpoint, tuple(thresholds),
-                          roc_threshold, designs, batch_size,
-                          getattr(forecaster, "inference_mode", "float32"),
-                          )) as pool:
+                          roc_threshold, designs, batch_size)) as pool:
             shard_parts = {}
             for index, part, seconds in pool.imap_unordered(
                     _eval_shard_task, range(store.num_shards)):

@@ -223,19 +223,12 @@ class ThreadWorker(_WorkerBase):
     def __init__(self, worker_id: str, registry: ModelRegistry,
                  max_batch: int = 8, max_wait_ms: float = 2.0,
                  obs_dir: str | Path | None = None,
-                 publish_interval: float = 2.0,
-                 threads: int | None = None,
-                 inference_mode: str = "float32"):
+                 publish_interval: float = 2.0):
         super().__init__(worker_id)
         self.metrics = MetricsRegistry()
-        # threads is process-global: in-process workers share one gemm
-        # pool, so the last-started worker's setting wins (process mode
-        # gives each worker its own pool).
         self.engine = BatchingEngine(registry, max_batch=max_batch,
                                      max_wait_ms=max_wait_ms,
-                                     metrics=self.metrics,
-                                     threads=threads,
-                                     inference_mode=inference_mode)
+                                     metrics=self.metrics)
         self._publisher = None
         if obs_dir is not None:
             self._publisher = TelemetryPublisher(
@@ -281,9 +274,7 @@ class ThreadWorker(_WorkerBase):
 
 def _process_worker_main(conn, checkpoints: str, max_batch: int,
                          max_wait_ms: float, obs_dir: str | None,
-                         worker_id: str, publish_interval: float,
-                         threads: int | None = None,
-                         inference_mode: str = "float32") -> None:
+                         worker_id: str, publish_interval: float) -> None:
     """Child body: engine + registry fed from a pipe.
 
     Protocol (parent -> child): ``(req_id, model_id, x, timeout)``,
@@ -304,8 +295,7 @@ def _process_worker_main(conn, checkpoints: str, max_batch: int,
         metrics = MetricsRegistry()
         engine = BatchingEngine(registry, max_batch=max_batch,
                                 max_wait_ms=max_wait_ms, metrics=metrics,
-                                warm_start=True, threads=threads,
-                                inference_mode=inference_mode)
+                                warm_start=True)
         engine.start()
     except Exception as error:
         conn.send(("__error__", f"{type(error).__name__}: {error}"))
@@ -386,9 +376,7 @@ class ProcessWorker(_WorkerBase):
                  max_batch: int = 8, max_wait_ms: float = 2.0,
                  obs_dir: str | Path | None = None,
                  publish_interval: float = 2.0,
-                 start_timeout: float = 120.0,
-                 threads: int | None = None,
-                 inference_mode: str = "float32"):
+                 start_timeout: float = 120.0):
         super().__init__(worker_id)
         self.checkpoints = str(checkpoints)
         self.max_batch = max_batch
@@ -396,8 +384,6 @@ class ProcessWorker(_WorkerBase):
         self.obs_dir = str(obs_dir) if obs_dir is not None else None
         self.publish_interval = publish_interval
         self.start_timeout = start_timeout
-        self.threads = threads
-        self.inference_mode = inference_mode
         self._process = None
         self._conn = None
         self._receiver: threading.Thread | None = None
@@ -435,8 +421,7 @@ class ProcessWorker(_WorkerBase):
             target=_process_worker_main,
             args=(child_conn, self.checkpoints, self.max_batch,
                   self.max_wait_ms, self.obs_dir, self.worker_id,
-                  self.publish_interval, self.threads,
-                  self.inference_mode),
+                  self.publish_interval),
             name=f"fleet-{self.worker_id}", daemon=True)
         self._process.start()
         child_conn.close()
@@ -676,18 +661,14 @@ class FleetRouter:
               max_wait_ms: float = 2.0,
               cache: ForecastCache | None = None,
               obs_dir: str | Path | None = None,
-              publish_interval: float = 2.0,
-              threads: int | None = None,
-              inference_mode: str = "float32", **router_kwargs
+              publish_interval: float = 2.0, **router_kwargs
               ) -> "FleetRouter":
         """Build a fleet over one checkpoint directory.
 
         ``mode="process"`` gives each worker its own process (true
         multi-core scaling); ``mode="thread"`` keeps them in-process
         (cheaper to start, GIL-bound).  Either way each worker loads its
-        own model instances.  ``threads``/``inference_mode`` configure
-        every worker's engine (per-process gemm threads and the
-        float32/int8 eval variant).
+        own model instances.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -702,14 +683,12 @@ class FleetRouter:
                 built.append(ProcessWorker(
                     worker_id, checkpoints, max_batch=max_batch,
                     max_wait_ms=max_wait_ms, obs_dir=obs_dir,
-                    publish_interval=publish_interval, threads=threads,
-                    inference_mode=inference_mode))
+                    publish_interval=publish_interval))
             else:
                 built.append(ThreadWorker(
                     worker_id, ModelRegistry.from_directory(checkpoints),
                     max_batch=max_batch, max_wait_ms=max_wait_ms,
-                    obs_dir=obs_dir, publish_interval=publish_interval,
-                    threads=threads, inference_mode=inference_mode))
+                    obs_dir=obs_dir, publish_interval=publish_interval))
         return cls(built, registry, cache=cache, obs_dir=obs_dir,
                    publish_interval=publish_interval, **router_kwargs)
 

@@ -115,18 +115,6 @@ class Pix2Pix:
         self.generator.attach_workspace(self.workspace)
         self.discriminator.attach_workspace(self.workspace)
 
-    def set_inference_mode(self, mode: str) -> "Pix2Pix":
-        """Numeric variant for the fused eval paths of both networks.
-
-        ``"int8"`` quantizes the conv weights per output channel on the
-        eval path only (see :meth:`repro.nn.Module.set_inference_mode`);
-        training passes and checkpoints are unaffected, and
-        ``"float32"`` restores the bitwise reference path.
-        """
-        self.generator.set_inference_mode(mode)
-        self.discriminator.set_inference_mode(mode)
-        return self
-
     # -- training --------------------------------------------------------------
 
     def _concat_input(self, name: str, x: np.ndarray,

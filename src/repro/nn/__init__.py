@@ -19,7 +19,6 @@ from repro.nn.functional import (
     leaky_relu,
     leaky_relu_,
     pad2d,
-    quantize_symmetric_int8,
     relu_,
     sigmoid,
 )
@@ -34,16 +33,10 @@ from repro.nn.layers import (
     LeakyReLU,
     Module,
     Parameter,
-    QuantizedWeights,
     ReLU,
     Sequential,
     Sigmoid,
     Tanh,
-)
-from repro.nn.parallel import (
-    get_num_threads,
-    set_num_threads,
-    shutdown_pool,
 )
 from repro.nn.losses import BCEWithLogitsLoss, L1Loss, MSELoss
 from repro.nn.optim import SGD, Adam
@@ -69,7 +62,6 @@ __all__ = [
     "MSELoss",
     "Module",
     "Parameter",
-    "QuantizedWeights",
     "ReLU",
     "SGD",
     "Sequential",
@@ -81,7 +73,6 @@ __all__ = [
     "col2im_bt",
     "conv2d_output_size",
     "conv_transpose2d_output_size",
-    "get_num_threads",
     "he_normal",
     "im2col",
     "im2col_view",
@@ -90,11 +81,8 @@ __all__ = [
     "load_state_dict",
     "normal_init",
     "pad2d",
-    "quantize_symmetric_int8",
     "relu_",
     "save_state_dict",
-    "set_num_threads",
-    "shutdown_pool",
     "sigmoid",
     "state_dict_mismatch",
     "validate_state_dict",

@@ -296,20 +296,3 @@ def relu_(x: np.ndarray) -> np.ndarray:
     ``slope * x`` product is NaN; finite activations are bitwise equal.
     """
     return np.maximum(x, 0.0, out=x)
-
-
-def quantize_symmetric_int8(w: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-slice int8 quantization: ``(q_int8, scale)``.
-
-    ``axis`` names the reduction axes; each remaining slice gets its own
-    scale ``amax / 127`` (1.0 for all-zero slices, so ``q = 0`` exactly)
-    and zero-point 0 — symmetric quantization keeps zero exactly
-    representable, which the conv padding border relies on.  Dequantize
-    with ``q * scale``; the worst-case per-element error is ``scale / 2``.
-    """
-    amax = np.max(np.abs(w), axis=axis, keepdims=True)
-    scale = np.where(amax > 0, amax / np.float32(127.0),
-                     np.float32(1.0)).astype(np.float32)
-    q = np.rint(w / scale)
-    np.clip(q, -127.0, 127.0, out=q)
-    return q.astype(np.int8), np.squeeze(scale, axis=axis)

@@ -30,11 +30,10 @@ Two hot-path mechanisms overlay the basic scheme:
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from repro.nn import parallel
 from repro.nn.functional import (
     col2im_bt,
     conv2d_output_size,
@@ -44,7 +43,6 @@ from repro.nn.functional import (
     leaky_relu,
     leaky_relu_,
     pad2d,
-    quantize_symmetric_int8,
 )
 from repro.nn.init import normal_init
 from repro.nn.workspace import Workspace
@@ -72,7 +70,6 @@ class Module:
 
     def __init__(self):
         self.training = True
-        self.inference_mode = "float32"
         self._ws: Workspace | None = None
         self._ws_views: dict[tuple, np.ndarray] = {}
         self._plans: dict[tuple, tuple] = {}
@@ -139,24 +136,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def set_inference_mode(self, mode: str) -> "Module":
-        """Select the eval-path numeric variant, recursively.
-
-        ``"float32"`` (the default) is the reference fused path;
-        ``"int8"`` makes the conv layers run their fused eval gemms over
-        per-output-channel int8-quantized weights and dynamically
-        quantized activations (see :meth:`Conv2d.quantize_folded`) —
-        lossy by a bounded quantization error, gated by the golden eval
-        fixtures.  Training passes are unaffected.
-        """
-        if mode not in ("float32", "int8"):
-            raise ValueError(
-                f"inference mode must be 'float32' or 'int8', got {mode!r}")
-        self.inference_mode = mode
-        for child in self.children():
-            child.set_inference_mode(mode)
-        return self
-
     # -- workspace ----------------------------------------------------------
 
     def attach_workspace(self, workspace: Workspace | None) -> "Module":
@@ -219,7 +198,7 @@ class Module:
             plan = (view, col.reshape(view.shape))
             self._plans[key] = plan
         view, dest = plan
-        parallel.sharded_copy(dest, view)
+        np.copyto(dest, view)
         return col
 
     def _pad_scratch(self, name: str, shape: tuple[int, ...],
@@ -270,31 +249,6 @@ class Module:
                                             stride, pad, name)
             self._plans[key] = plan
         add_pairs, assign_pairs, fill, result = plan
-        # Thread the replay on the batch axis (or, for batch-1, the
-        # channel axis): every plan view carries (n, c) as its leading
-        # axes and the scatter never mixes samples or channels, so a
-        # shard sees exactly the serial per-element accumulation order.
-        n, channels = fill.shape[0], fill.shape[1]
-        if parallel.get_num_threads() > 1 and (n > 1 or channels > 1):
-            if n > 1:
-                def shard(start, stop):
-                    fill[start:stop] = 0
-                    for dst, src in add_pairs:
-                        np.add(dst[start:stop], src[start:stop],
-                               out=dst[start:stop])
-                    for dst, src in assign_pairs:
-                        dst[start:stop][...] = src[start:stop]
-                parallel.parallel_for(n, shard)
-            else:
-                def shard(start, stop):
-                    fill[:, start:stop] = 0
-                    for dst, src in add_pairs:
-                        np.add(dst[:, start:stop], src[:, start:stop],
-                               out=dst[:, start:stop])
-                    for dst, src in assign_pairs:
-                        dst[:, start:stop][...] = src[:, start:stop]
-                parallel.parallel_for(channels, shard)
-            return result
         fill[...] = 0
         for dst, src in add_pairs:
             np.add(dst, src, out=dst)
@@ -466,30 +420,6 @@ def _folded_bn_params(conv: Module, bn: "BatchNorm2d",
     return w_mat, b_vec
 
 
-class QuantizedWeights(NamedTuple):
-    """A conv layer's fused-eval weights, int8-quantized per out-channel.
-
-    ``q_f32`` holds the *same integer values* as ``q_int8`` — BLAS has
-    no int8 gemm kernel, so the quantized path accumulates in float32
-    over integer-valued operands (the int8 copies buy their speed as
-    storage: the padded activation image and im2col matrix move 4x
-    fewer bytes through the gather).  ``zero_point`` is always 0:
-    symmetric quantization keeps the padding's zeros exact.
-    """
-
-    q_int8: np.ndarray
-    q_f32: np.ndarray
-    scale: np.ndarray
-    zero_point: int
-    bias: np.ndarray | None
-
-
-def _dynamic_qscale(src: np.ndarray) -> float:
-    """Per-call symmetric activation scale: ``max|src| / 127``."""
-    amax = float(max(src.max(), -src.min()))
-    return amax / 127.0 if amax > 0 else 1.0
-
-
 class Conv2d(Module):
     """Strided 2-D convolution (square kernel, symmetric zero padding).
 
@@ -526,7 +456,6 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
         self._cache: tuple | None = None
         self._fold: tuple | None = None
-        self._qfold: tuple | None = None
 
     def _folded_params(self, bn: "BatchNorm2d") -> tuple[np.ndarray, np.ndarray]:
         """Weights/bias with the following BatchNorm folded in (eval only)."""
@@ -534,90 +463,6 @@ class Conv2d(Module):
             self, bn,
             lambda scale: self.weight.data.reshape(
                 self.out_channels, -1) * scale[:, None])
-
-    def quantize_folded(self, bn: "BatchNorm2d | None" = None
-                        ) -> QuantizedWeights:
-        """Int8 weights with BN folded in, cached per workspace generation.
-
-        Quantization happens *after* the BN fold — exactly the weights
-        the float fused path multiplies by — so the int8 path inherits
-        the fold's invalidation (training steps and state loads bump the
-        generation) for free.
-        """
-        gen = self._ws.generation if self._ws is not None else None
-        cached = self._qfold
-        if cached is not None and gen is not None and cached[0] == gen \
-                and cached[1] == id(bn):
-            return cached[2]
-        if bn is not None:
-            w_mat, b_vec = self._folded_params(bn)
-        else:
-            w_mat = self.weight.data.reshape(self.out_channels, -1)
-            b_vec = self.bias.data if self.bias is not None else None
-        q_int8, scale = quantize_symmetric_int8(w_mat, axis=1)
-        pack = QuantizedWeights(q_int8, q_int8.astype(np.float32),
-                                scale, 0, b_vec)
-        if gen is not None:
-            self._qfold = (gen, id(bn), pack)
-        return pack
-
-    def _forward_eval_int8(self, x: np.ndarray, bn: "BatchNorm2d | None",
-                           act: "LeakyReLU | None") -> np.ndarray:
-        """Quantized fused eval: int8 gather, float32 accumulation.
-
-        Activations are quantized symmetrically per call (dynamic range
-        from this batch), packed through an int8 padding image and int8
-        im2col matrix — the gather is where the 4x byte shrink pays —
-        then widened back to float32 for the BLAS gemm and rescaled by
-        ``w_scale[oc] * x_scale`` on the (much smaller) output.
-        """
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        out_h = conv2d_output_size(h, self.kernel, self.stride, self.pad)
-        out_w = conv2d_output_size(w, self.kernel, self.stride, self.pad)
-        hw = out_h * out_w
-        ckk = c * self.kernel * self.kernel
-        qw = self.quantize_folded(bn)
-        qf = self._buf("eq", x.shape, np.float32)
-        if act is not None:
-            leaky_relu(x, act.slope, out=qf)
-            src = qf
-        else:
-            src = x
-        x_scale = _dynamic_qscale(src)
-        np.multiply(src, np.float32(1.0 / x_scale), out=qf)
-        np.rint(qf, out=qf)
-        colq = self._buf("qcolf", (n * hw, ckk), np.float32)
-        if self._ws is not None and self.pad > 0:
-            pad = self.pad
-            pad8, zero_border = self._pad_scratch(
-                "qpad", (n, c, h + 2 * pad, w + 2 * pad), np.int8)
-            if zero_border:
-                pad8[:, :, :pad, :] = 0
-                pad8[:, :, h + pad:, :] = 0
-                pad8[:, :, pad:h + pad, :pad] = 0
-                pad8[:, :, pad:h + pad, w + pad:] = 0
-            parallel.sharded_copy(pad8[:, :, pad:h + pad, pad:w + pad],
-                                  qf, casting="unsafe")
-            col8 = self._buf("qcol", (n * hw, ckk), np.int8)
-            self._gather(pad8, self.kernel, self.stride, col8)
-            parallel.sharded_copy(colq.reshape(n, hw, ckk),
-                                  col8.reshape(n, hw, ckk),
-                                  casting="unsafe")
-        else:
-            # Detached workspace (or pad-0): gather the integer-valued
-            # activations as float32 — same values, same gemm result,
-            # just without the int8 buffer's memory-traffic win.
-            im2col(qf, self.kernel, self.stride, self.pad, out=colq)
-        out3 = self._buf("eout", (n, self.out_channels, hw), np.float32)
-        parallel.stacked_matmul(
-            qw.q_f32, colq.reshape(n, hw, ckk).transpose(0, 2, 1), out3,
-            variant="int8")
-        out3 *= (qw.scale * np.float32(x_scale))[:, None]
-        if qw.bias is not None:
-            out3 += qw.bias[:, None]
-        return out3.reshape(n, self.out_channels, out_h, out_w)
 
     def forward_eval_folded(self, x: np.ndarray, bn: "BatchNorm2d",
                             act: "LeakyReLU | None" = None) -> np.ndarray:
@@ -629,8 +474,6 @@ class Conv2d(Module):
         scratch — activation, padding, convolution, and normalization
         become one pass with no intermediate feature map.
         """
-        if self.inference_mode == "int8":
-            return self._forward_eval_int8(x, bn, act)
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
@@ -662,8 +505,7 @@ class Conv2d(Module):
             b_vec = self.bias.data if self.bias is not None else None
         out3 = self._buf("eout", (n, self.out_channels, hw),
                          np.result_type(w_mat, col))
-        parallel.stacked_matmul(
-            w_mat, col.reshape(n, hw, -1).transpose(0, 2, 1), out3)
+        np.matmul(w_mat, col.reshape(n, hw, -1).transpose(0, 2, 1), out=out3)
         if b_vec is not None:
             out3 += b_vec[:, None]
         return out3.reshape(n, self.out_channels, out_h, out_w)
@@ -699,8 +541,7 @@ class Conv2d(Module):
         out3 = self._buf("out" if cache else "eout",
                          (n, self.out_channels, hw),
                          np.result_type(w_mat, col))
-        parallel.stacked_matmul(
-            w_mat, col.reshape(n, hw, -1).transpose(0, 2, 1), out3)
+        np.matmul(w_mat, col.reshape(n, hw, -1).transpose(0, 2, 1), out=out3)
         if self.bias is not None:
             out3 += self.bias.data[:, None]
         if cache:
@@ -711,8 +552,6 @@ class Conv2d(Module):
         return self._forward_impl(x, cache=True)
 
     def forward_eval(self, x: np.ndarray) -> np.ndarray:
-        if self.inference_mode == "int8":
-            return self._forward_eval_int8(x, None, None)
         return self._forward_impl(x, cache=False)
 
     def backward(self, grad: np.ndarray,
@@ -737,13 +576,12 @@ class Conv2d(Module):
             self.weight.grad += (grad3[0] @ col3[0]).reshape(
                 self.weight.data.shape)
         else:
-            # Per-sample partial products shard across threads; the
-            # cross-sample sum stays serial in the legacy pairwise order,
-            # so the gradient is bitwise-stable for every thread count.
+            # Per-sample partial products, then one cross-sample sum in
+            # numpy's pairwise order.
             partials = self._buf("wgp", (n, self.out_channels,
                                          col3.shape[2]),
                                  np.result_type(grad3, col3))
-            parallel.stacked_matmul(grad3, col3, partials)
+            np.matmul(grad3, col3, out=partials)
             self.weight.grad += partials.sum(axis=0).reshape(
                 self.weight.data.shape)
         if self.bias is not None:
@@ -753,7 +591,7 @@ class Conv2d(Module):
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_col_bt = self._buf("gcolbt", (n, w_mat.shape[1], hw),
                                 np.result_type(w_mat, grad))
-        parallel.stacked_matmul(w_mat.T, grad3, grad_col_bt)
+        np.matmul(w_mat.T, grad3, out=grad_col_bt)
         return self._scatter_bt(grad_col_bt, x_shape, self.kernel,
                                 self.stride, self.pad, "gimg")
 
@@ -790,7 +628,6 @@ class ConvTranspose2d(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
         self._cache: tuple | None = None
         self._fold: tuple | None = None
-        self._qfold: tuple | None = None
 
     def _forward_impl(self, x: np.ndarray, cache: bool,
                       w_mat: np.ndarray | None = None,
@@ -810,7 +647,7 @@ class ConvTranspose2d(Module):
         col_bt = self._buf("colbt" if cache else "ecolbt",
                            (n, w_mat.shape[1], h * w),
                            np.result_type(w_mat, x))
-        parallel.stacked_matmul(w_mat.T, x3, col_bt)
+        np.matmul(w_mat.T, x3, out=col_bt)
         out = self._scatter_bt(col_bt, (n, self.out_channels, out_h, out_w),
                                self.kernel, self.stride, self.pad,
                                "img" if cache else "eimg")
@@ -829,8 +666,6 @@ class ConvTranspose2d(Module):
         return self._forward_impl(x, cache=True)
 
     def forward_eval(self, x: np.ndarray) -> np.ndarray:
-        if self.inference_mode == "int8":
-            return self._forward_eval_int8(x, None)
         return self._forward_impl(x, cache=False)
 
     def _folded_params(self, bn: "BatchNorm2d") -> tuple[np.ndarray, np.ndarray]:
@@ -844,75 +679,8 @@ class ConvTranspose2d(Module):
     def forward_eval_folded(self, x: np.ndarray,
                             bn: "BatchNorm2d") -> np.ndarray:
         """Fused transposed-conv+norm inference step."""
-        if self.inference_mode == "int8":
-            return self._forward_eval_int8(x, bn)
         w_mat, b_vec = self._folded_params(bn)
         return self._forward_impl(x, cache=False, w_mat=w_mat, b_vec=b_vec)
-
-    def quantize_folded(self, bn: "BatchNorm2d | None" = None
-                        ) -> QuantizedWeights:
-        """Int8 weights (BN folded), scaled per *output* channel.
-
-        The gemm operand is ``(in_c, oc*k*k)``, so the per-out-channel
-        scale reduces over the input-channel and kernel axes of the 4-D
-        weight view; dequantization then commutes with the col2im
-        scatter (which never mixes output channels) and lands on the
-        smaller post-scatter image.
-        """
-        gen = self._ws.generation if self._ws is not None else None
-        cached = self._qfold
-        if cached is not None and gen is not None and cached[0] == gen \
-                and cached[1] == id(bn):
-            return cached[2]
-        if bn is not None:
-            w_mat, b_vec = self._folded_params(bn)
-        else:
-            w_mat = self.weight.data.reshape(self.in_channels, -1)
-            b_vec = self.bias.data if self.bias is not None else None
-        w4 = w_mat.reshape(self.in_channels, self.out_channels,
-                           self.kernel, self.kernel)
-        q4, scale = quantize_symmetric_int8(w4, axis=(0, 2, 3))
-        q_int8 = np.ascontiguousarray(q4.reshape(self.in_channels, -1))
-        pack = QuantizedWeights(q_int8, q_int8.astype(np.float32),
-                                scale, 0, b_vec)
-        if gen is not None:
-            self._qfold = (gen, id(bn), pack)
-        return pack
-
-    def _forward_eval_int8(self, x: np.ndarray,
-                           bn: "BatchNorm2d | None") -> np.ndarray:
-        """Quantized fused eval for the upsampler.
-
-        The input itself is the gemm operand (no im2col on this side),
-        so the quantized activations stay in float32 — an int8 copy
-        would buy no traffic win with no gather to shrink and no int8
-        BLAS kernel to hand it to.  Dequantization happens after the
-        scatter, on ``oc * H * W`` elements instead of ``oc*k*k * h*w``.
-        """
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        out_h = conv_transpose2d_output_size(h, self.kernel, self.stride,
-                                             self.pad)
-        out_w = conv_transpose2d_output_size(w, self.kernel, self.stride,
-                                             self.pad)
-        qw = self.quantize_folded(bn)
-        if not x.flags.c_contiguous:
-            x = np.ascontiguousarray(x)
-        x_scale = _dynamic_qscale(x)
-        qf = self._buf("eq", x.shape, np.float32)
-        np.multiply(x, np.float32(1.0 / x_scale), out=qf)
-        np.rint(qf, out=qf)
-        col_bt = self._buf("qcolbt", (n, qw.q_f32.shape[1], h * w),
-                           np.float32)
-        parallel.stacked_matmul(qw.q_f32.T, qf.reshape(n, c, h * w),
-                                col_bt, variant="int8")
-        out = self._scatter_bt(col_bt, (n, self.out_channels, out_h, out_w),
-                               self.kernel, self.stride, self.pad, "qimg")
-        out *= (qw.scale * np.float32(x_scale))[None, :, None, None]
-        if qw.bias is not None:
-            out += qw.bias[None, :, None, None]
-        return out
 
     def backward(self, grad: np.ndarray,
                  need_input_grad: bool = True) -> np.ndarray | None:
@@ -935,11 +703,9 @@ class ConvTranspose2d(Module):
             self.weight.grad += (x3[0] @ gcol3[0]).reshape(
                 self.weight.data.shape)
         else:
-            # Sharded per-sample partials + serial legacy-order sum (see
-            # Conv2d.backward) — bitwise-stable for every thread count.
             partials = self._buf("wgp", (n, self.in_channels, okk),
                                  np.result_type(x3, gcol3))
-            parallel.stacked_matmul(x3, gcol3, partials)
+            np.matmul(x3, gcol3, out=partials)
             self.weight.grad += partials.sum(axis=0).reshape(
                 self.weight.data.shape)
         if self.bias is not None:
@@ -949,7 +715,7 @@ class ConvTranspose2d(Module):
         w_mat = self.weight.data.reshape(self.in_channels, -1)
         gx3 = self._buf("gx", (n, self.in_channels, hw),
                         np.result_type(w_mat, grad))
-        parallel.stacked_matmul(w_mat, gcol3.transpose(0, 2, 1), gx3)
+        np.matmul(w_mat, gcol3.transpose(0, 2, 1), out=gx3)
         return gx3.reshape(n, self.in_channels, h, w)
 
 

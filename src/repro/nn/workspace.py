@@ -75,10 +75,10 @@ class Workspace:
         self.epoch = 0
         # Incremental byte accounting: kept in sync on every realloc so
         # observability reads are O(1), not a slot-table walk.  The lock
-        # makes the decrement/increment/high-water triplet atomic:
-        # metrics threads (and pool-threaded passes racing an engine's
-        # /metrics reader) must never observe the torn middle state where
-        # the old buffer is subtracted but the new one not yet added.
+        # makes the decrement/increment/high-water triplet atomic: a
+        # metrics thread (an engine's /metrics reader racing its worker)
+        # must never observe the torn middle state where the old buffer
+        # is subtracted but the new one not yet added.
         self._acct_lock = threading.Lock()
         self._live_bytes = 0
         self._peak_bytes = 0

@@ -21,8 +21,7 @@ its own integer cells, registered once under a lock and merged at read
 time — integer sums are order-independent, so a snapshot is
 deterministic no matter how the work interleaved, and no increment is
 ever lost to a torn read-modify-write.  Snapshots also attribute time
-per thread, and fold in the ``repro.nn.parallel`` pool's per-worker
-busy time and per-variant gemm tallies when that subsystem is loaded.
+per thread.
 
 This module is stdlib-only — it duck-types against ``repro.nn`` modules
 without importing numpy, so ``repro.obs`` stays importable everywhere.
@@ -31,7 +30,6 @@ without importing numpy, so ``repro.obs`` stays importable everywhere.
 from __future__ import annotations
 
 import functools
-import sys
 import threading
 import time
 
@@ -184,10 +182,7 @@ class Profiler:
 
         ``layers``/``totals`` merge every executing thread's cells (sums
         of integers — order-independent, hence deterministic).  The
-        ``threads`` section attributes wall time per executing thread,
-        and ``parallel`` reports the gemm pool's configuration,
-        per-worker busy time, and per-variant gemm tallies whenever
-        ``repro.nn.parallel`` is loaded in this process.
+        ``threads`` section attributes wall time per executing thread.
         """
         layers: dict[str, dict] = {}
         totals = {"calls": 0, "ms": 0.0, "gemms": 0}
@@ -212,12 +207,6 @@ class Profiler:
                 ns += stat.ns
             threads[f"{seq}:{name}"] = {"calls": calls, "ms": ns / 1e6}
         document["threads"] = threads
-        # The gemm pool ships its own accounting; fold it in when the
-        # subsystem is already imported (never import numpy from here).
-        nn_parallel = sys.modules.get("repro.nn.parallel")
-        if nn_parallel is not None:
-            document["parallel"] = dict(nn_parallel.pool_stats(),
-                                        gemms=nn_parallel.gemm_stats())
         if workspace is not None:
             document["workspace"] = {
                 "nbytes": int(workspace.nbytes),

@@ -97,17 +97,6 @@ class BatchingEngine:
         ``serve_drift_*`` gauges into this engine's metrics registry.
         Monitor errors are swallowed: drift observes, it never fails a
         request.
-    threads:
-        Gemm thread count applied process-wide via
-        :func:`repro.nn.parallel.set_num_threads` when the engine
-        starts.  ``None`` (default) leaves the current/``REPRO_THREADS``
-        setting untouched; any count produces bitwise-identical
-        forecasts (work shards only on the sample axis).
-    inference_mode:
-        ``"float32"`` (default) or ``"int8"``; applied to every
-        registered model at start.  int8 runs the fused eval path over
-        per-output-channel quantized weights — faster, lossy within the
-        golden-fixture NRMS tolerance (see ``Module.set_inference_mode``).
     """
 
     def __init__(self, registry: ModelRegistry, max_batch: int = 8,
@@ -116,23 +105,14 @@ class BatchingEngine:
                  warm_start: bool = False,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 drift=None,
-                 threads: int | None = None,
-                 inference_mode: str = "float32"):
+                 drift=None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
-        if threads is not None and threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        if inference_mode not in ("float32", "int8"):
-            raise ValueError(f"inference_mode must be 'float32' or 'int8', "
-                             f"got {inference_mode!r}")
         self.registry = registry
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
-        self.threads = threads
-        self.inference_mode = inference_mode
         self.cache = cache
         self.warm_start = warm_start
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -221,14 +201,6 @@ class BatchingEngine:
         if self._worker is not None:
             raise RuntimeError("engine is already running (or a previous "
                                "stop() timed out; see stop())")
-        from repro.nn import parallel as nn_parallel
-        if self.threads is not None:
-            nn_parallel.set_num_threads(self.threads)
-        nn_parallel.attach_metrics(self.metrics)
-        for model_id in self.registry.model_ids:
-            model = self.registry.get(model_id)
-            if hasattr(model, "set_inference_mode"):
-                model.set_inference_mode(self.inference_mode)
         if self.warm_start:
             self._warm_models()
         self._stopping = False
@@ -260,8 +232,6 @@ class BatchingEngine:
         if worker.is_alive():
             raise RuntimeError(
                 f"engine worker did not stop within {timeout}s")
-        from repro.nn import parallel as nn_parallel
-        nn_parallel.detach_metrics(self.metrics)
         self._worker = None
         while True:
             try:

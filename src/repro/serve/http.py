@@ -100,6 +100,11 @@ def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
         raise
     except (TypeError, ValueError) as error:
         raise ApiError(400, f"bad forecast payload: {error}") from None
+    # Python's json accepts NaN and Infinity literals; a non-finite
+    # input would come back as an invalid-JSON forecast and be cached.
+    if not np.isfinite(x).all():
+        raise ApiError(400, "forecast input must be finite "
+                            "(no NaN or Infinity)")
     return model_id, x
 
 
@@ -201,14 +206,18 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path != "/v1/forecast":
                 raise ApiError(404, f"no such route: {self.path}")
             self._count("/v1/forecast")
-            length = int(self.headers.get("Content-Length", 0))
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                raise ApiError(400, "Content-Length must be an "
+                                    "integer") from None
             if length <= 0:
                 raise ApiError(400, "missing request body")
             if length > MAX_BODY_BYTES:
                 raise ApiError(413, "request body too large")
             try:
                 body = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as error:
+            except ValueError as error:   # bad JSON or not UTF-8
                 raise ApiError(400, f"invalid JSON: {error}") from None
             model_id, x = _parse_forecast_body(body)
             engine = self.api.engine

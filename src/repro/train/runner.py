@@ -211,9 +211,12 @@ class Runner:
         return runner
 
     def _spec_sha(self) -> str:
+        # The manifest bytes on disk, not a re-serialization: an older
+        # spec.json may hold keys from_dict drops, and its checkpoints
+        # carry the hash of exactly those bytes.
         if self._spec_sha_cached is None:
             self._spec_sha_cached = hashlib.sha256(
-                self.spec.to_json().encode()).hexdigest()
+                self._path(SPEC_NAME).read_bytes()).hexdigest()
         return self._spec_sha_cached
 
     def _model_config(self, train_data) -> Pix2PixConfig:
@@ -606,12 +609,6 @@ class Runner:
 
     def _run(self, stop_after_steps: int | None,
              log_every: int | None, on_phase) -> RunResult:
-        if self.spec.threads != 1:
-            # Widen the gemm pool for the conv hot paths; any width
-            # computes bitwise the same run (see repro.nn.parallel).
-            from repro.nn import set_num_threads
-
-            set_num_threads(self.spec.threads)
         result = RunResult(status="completed", run_dir=self.run_dir,
                            global_step=self.cursor.global_step)
         if (stop_after_steps is not None

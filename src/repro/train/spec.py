@@ -137,8 +137,6 @@ class TrainSpec:
     checkpoint_every_epochs: int = 1
     keep_checkpoints: int = 3
     publish: bool = True               # export final model in serve format
-    threads: int = 1                   # gemm pool width (1 = serial legacy
-                                       # path; any N is bitwise identical)
 
     def __post_init__(self):
         if not self.name or "/" in self.name or self.name.startswith("."):
@@ -166,10 +164,6 @@ class TrainSpec:
             raise ValueError("checkpoint_every_epochs must be >= 1")
         if self.keep_checkpoints < 1:
             raise ValueError("keep_checkpoints must be >= 1")
-        if not isinstance(self.threads, int) or isinstance(self.threads, bool) \
-                or self.threads < 1:
-            raise ValueError(f"threads must be an int >= 1, "
-                             f"got {self.threads!r}")
         kind = self.data.partition(":")[0]
         if kind not in ("inline", "store", "archive"):
             raise ValueError(f"bad data ref {self.data!r}: expected "
@@ -229,6 +223,10 @@ class TrainSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainSpec":
         data = dict(data)
+        # Specs and spool jobs written by older versions carry a
+        # "threads" gemm-pool width.  Every width trained the same bits,
+        # so the key is dropped rather than rejected as unknown.
+        data.pop("threads", None)
         finetune = data.pop("finetune", None)
         evaluation = data.pop("eval", None)
         spec = _dict_from(cls, data, "train spec")

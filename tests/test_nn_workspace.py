@@ -323,6 +323,17 @@ class TestWorkspaceReuse:
         assert model.workspace.nbytes > 0
         assert model.workspace.num_slots > 0
 
+    def test_peak_is_stable_over_repeated_forecasts(self, make_model):
+        model = make_model(seed=9)
+        rng = np.random.default_rng(4)
+        batch = rng.normal(size=(4, 4, 16, 16)).astype(np.float32)
+        model.forecast(batch)
+        peak = model.workspace.peak_nbytes
+        assert peak >= model.workspace.nbytes > 0
+        for _ in range(3):
+            model.forecast(batch)
+            assert model.workspace.peak_nbytes == peak
+
 
 class TestScatterPlans:
     @pytest.mark.parametrize("geometry", [

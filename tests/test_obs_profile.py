@@ -1,5 +1,7 @@
 """Profiler: zero-cost detach, per-layer stats, gemm accounting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,27 @@ class TestStats:
         lines = table.splitlines()
         assert "layer" in lines[0] and "gemms" in lines[0]
         assert len(lines) == 4  # header + three active leaves
+
+    def test_profiler_attributes_threads(self, make_model):
+        model = make_model(seed=7)
+        rng = np.random.default_rng(2)
+        inputs = [rng.normal(size=(1, 4, 16, 16)).astype(np.float32)
+                  for _ in range(2)]
+        profiler = Profiler()
+        profiler.attach(model.generator, "G")
+        try:
+            workers = [threading.Thread(target=model.generator.forward_eval,
+                                        args=(x,)) for x in inputs[:1]]
+            model.generator.forward_eval(inputs[1])
+            for worker in workers:
+                worker.start()
+                worker.join()
+            snapshot = profiler.snapshot()
+        finally:
+            profiler.detach()
+        per_thread = [t["calls"] for t in snapshot["threads"].values()]
+        assert sum(per_thread) == snapshot["totals"]["calls"]
+        assert sum(1 for calls in per_thread if calls) >= 2
 
 
 class TestWorkspaceHighWater:

@@ -1,5 +1,8 @@
 """HTTP API + client round-trips on an ephemeral port."""
 
+import http.client
+import json
+import socket
 import threading
 
 import numpy as np
@@ -31,6 +34,37 @@ def server(tiny_model):
 @pytest.fixture()
 def client(server):
     return ForecastClient(port=server.port)
+
+
+def _raw_post(port: int, length: bytes, body: bytes) -> tuple[int, dict]:
+    """One hand-framed POST on a fresh connection: (status, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(b"POST /v1/forecast HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Content-Type: application/json\r\n"
+                     b"Content-Length: " + length + b"\r\n\r\n" + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+def _non_finite_payload(case: str) -> dict:
+    """A forecast body carrying one NaN/Infinity at the named field."""
+    x = np.zeros((4, 16, 16), np.float32)
+    place = np.zeros((16, 16, 3), np.float32)
+    connect = np.zeros((16, 16), np.float32)
+    if case.startswith("input"):
+        x[1, 2, 3] = {"input-nan": np.nan, "input-inf": np.inf,
+                      "input-neg-inf": -np.inf}[case]
+        return {"model": "tiny", "input": x.tolist()}
+    body = {"model": "tiny", "place_image": place.tolist(),
+            "connect_image": connect.tolist()}
+    if case == "place-nan":
+        body["place_image"][0][0][0] = float("nan")
+    elif case == "connect-inf":
+        body["connect_image"][5][5] = float("inf")
+    else:
+        body["connect_weight"] = float("nan")
+    return body
 
 
 class TestEndpoints:
@@ -138,6 +172,31 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("case", [
+        "input-nan", "input-inf", "input-neg-inf", "place-nan",
+        "connect-inf", "weight-nan"])
+    def test_non_finite_input_400(self, client, case):
+        with pytest.raises(ClientError) as excinfo:
+            client._request("/v1/forecast", _non_finite_payload(case))
+        assert excinfo.value.status == 400
+        assert "finite" in str(excinfo.value)
+        # Nothing was cached or served: the next forecast is a fresh miss.
+        result = client.forecast("tiny", x=np.zeros((4, 16, 16), np.float32))
+        assert result.cached is False
+        assert client.metrics()["engine"]["completed"] == 1
+
+    @pytest.mark.parametrize("length, body", [
+        (b"twelve", b'{"model": 1}'),
+        (b"14", b'{"model": "\xff"}'),
+    ], ids=["non-integer-length", "non-utf8-body"])
+    def test_malformed_framing_400_then_keeps_serving(self, server, client,
+                                                      length, body):
+        status, document = _raw_post(server.port, length, body)
+        assert status == 400
+        assert "error" in document
+        x = np.zeros((4, 16, 16), np.float32)
+        assert client.forecast("tiny", x=x).cached is False
 
     def test_missing_input_400(self, client):
         with pytest.raises(ClientError) as excinfo:

@@ -7,15 +7,28 @@ for the scratch (strategy-1) path and the fine-tune (strategy-2) path,
 in both sample-order modes.
 """
 
+import dataclasses
+import json
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data import ShardedStore
 from repro.gan import Dataset
 from repro.train import EvalSpec, FinetuneSpec, Runner, TrainSpec
+from repro.train.sweep import _run_one
 from tests.conftest import make_dataset
 
 SIZE = 16
+
+#: A run directory ``runs/legacy`` plus the 4-sample, 16 px store
+#: ``store/`` it trains on, written by ``repro train run --spec spec.json
+#: --runs runs --stop-after-steps 6`` (checkpoints every 3 steps, keep 1,
+#: 4 steps per epoch: stopped mid-epoch 2) by a version whose spec
+#: carried a ``threads`` field.  The spec's data ref is relative.
+LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "train_resume"
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +203,33 @@ class TestResumeGuards:
         first_line = (tmp_path / "unckpted"
                       / "losses.jsonl").read_text().splitlines()[0]
         assert "partial" not in first_line
+
+
+class TestLegacyRunDirectory:
+    """Run directories and spool jobs written before the spec lost its
+    ``threads`` field still resume and load."""
+
+    @pytest.fixture()
+    def fixture_dir(self, tmp_path, monkeypatch):
+        root = tmp_path / "fixture"
+        shutil.copytree(LEGACY_FIXTURE, root)
+        monkeypatch.chdir(root)          # the spec says "store:store"
+        return root
+
+    def test_resume_matches_uninterrupted_run(self, fixture_dir):
+        runs = fixture_dir / "runs"
+        spec_path = runs / "legacy" / "spec.json"
+        assert json.loads(spec_path.read_text())["threads"] == 1
+        result = Runner.resume(runs / "legacy").run()
+        assert result.completed and result.global_step == 8
+        straight = dataclasses.replace(TrainSpec.load(spec_path),
+                                       name="straight")
+        Runner.create(straight, runs).run()
+        assert_same_run(runs, "legacy", "straight")
+
+    def test_spool_job_with_threads_runs(self, fixture_dir, tmp_path):
+        document = json.loads(
+            (fixture_dir / "runs" / "legacy" / "spec.json").read_text())
+        document.update(name="from-spool", epochs=1)
+        row = _run_one(str(tmp_path / "spool-runs"), document)
+        assert row["status"] == "completed", row

@@ -49,6 +49,16 @@ class TestRoundTrip:
         assert isinstance(spec.finetune, FinetuneSpec)
         assert isinstance(spec.eval, EvalSpec)
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_legacy_threads_key_is_dropped(self, threads):
+        """Older specs and spool jobs carry a gemm-pool ``threads``
+        width; it loads and does not survive re-serialization."""
+        document = full_spec().to_dict()
+        document["threads"] = threads
+        spec = TrainSpec.from_dict(document)
+        assert spec == full_spec()
+        assert "threads" not in spec.to_dict()
+
 
 class TestValidation:
     def test_unknown_field_fails_loudly(self):
