@@ -37,8 +37,7 @@ def _fleet_load(checkpoints, workers: int, inputs,
     best = None
     for _ in range(trials):
         router = FleetRouter.local(checkpoints, workers=workers,
-                                   mode="process", max_batch=8,
-                                   max_wait_ms=2.0,
+                                   max_batch=8, max_wait_ms=2.0,
                                    max_inflight=len(inputs) + 8,
                                    worker_queue_limit=len(inputs) + 8)
         with router:
@@ -93,8 +92,7 @@ def test_fleet_scaling(benchmark, scale, tmp_path_factory):
 
     # Shared-cache fast path at the router.
     cache = ForecastCache(64)
-    router = FleetRouter.local(checkpoints, workers=2, mode="process",
-                               cache=cache)
+    router = FleetRouter.local(checkpoints, workers=2, cache=cache)
     with router:
         router.forecast_result("bench", inputs[0], timeout=120.0)  # miss
         start = time.perf_counter()

@@ -98,11 +98,10 @@ def main() -> None:
 
     print("[3/4] fleet serving front: 2 workers, shared cache, HTTP")
     obs_dir = OUT_DIR / "telemetry"
-    router = FleetRouter.local(ckpt_dir, workers=2, mode="thread",
-                               cache=ForecastCache(64), obs_dir=obs_dir,
-                               publish_interval=0.2)
+    router = FleetRouter.local(ckpt_dir, workers=2, cache=ForecastCache(64))
     sample = make_dataset()[0]
-    with router, ForecastServer(router, port=0) as server:
+    with ForecastServer(router, port=0, obs_dir=obs_dir,
+                        publish_interval=0.2) as server:
         body = json.dumps({"model": "demo",
                            "input": sample.x.tolist()}).encode()
         request = urllib.request.Request(
@@ -123,8 +122,9 @@ def main() -> None:
           f"inflight cap {status['stats']['max_inflight']}")
 
     print("[4/4] one dashboard frame over the fleet telemetry")
-    # The router now publishes breaker/retry/restart series too; raise
-    # the preview cap so the routing counters stay visible in the frame.
+    # The fleet publishes breaker/retry/restart series next to the
+    # serve_* ones; raise the preview cap so the routing counters stay
+    # visible in the frame.
     dashboard = Dashboard(DirectorySource(obs_dir), color=False,
                           series_limit=24)
     dashboard.tick()

@@ -357,18 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_up.add_argument("--checkpoints", type=Path, required=True,
                           help="directory of .npz model checkpoints")
     fleet_up.add_argument("--workers", type=int, default=2,
-                          help="serving workers (default 2)")
-    fleet_up.add_argument("--mode", default="process",
-                          choices=["process", "thread"],
-                          help="worker isolation (process scales across "
-                               "cores; thread is cheaper to start)")
+                          help="serving worker processes (default 2)")
     fleet_up.add_argument("--host", default="127.0.0.1")
     fleet_up.add_argument("--port", type=int, default=8000,
                           help="TCP port (0 binds an ephemeral port)")
     fleet_up.add_argument("--max-batch", type=int, default=8,
-                          help="per-worker micro-batch size")
+                          help="micro-batch size (batches form at the "
+                               "router)")
     fleet_up.add_argument("--max-wait-ms", type=float, default=2.0,
-                          help="per-worker batch wait for stragglers")
+                          help="batch wait for stragglers")
     fleet_up.add_argument("--cache-size", type=int, default=256,
                           help="shared forecast LRU capacity "
                                "(0 disables caching)")
@@ -376,12 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="admission control: reject (503) beyond "
                                "this many in-flight requests")
     fleet_up.add_argument("--queue-limit", type=int, default=32,
-                          help="backpressure: reject when every worker "
-                               "queue is this deep")
+                          help="backpressure: reject when the queue "
+                               "holds this many requests per live worker")
     fleet_up.add_argument("--verbose", action="store_true",
                           help="log every HTTP request")
     fleet_up.add_argument("--obs-dir", type=Path, default=None,
-                          help="publish router + worker telemetry here "
+                          help="publish the fleet's telemetry here "
                                "for `repro obs agg/top`")
     fleet_up.add_argument("--alert-rules", type=Path, default=None,
                           help="JSON alert rules evaluated against the "
@@ -1056,11 +1053,9 @@ def _fleet_up(args) -> int:
     cache = ForecastCache(args.cache_size) if args.cache_size else None
     try:
         router = FleetRouter.local(
-            args.checkpoints, workers=args.workers, mode=args.mode,
+            args.checkpoints, workers=args.workers,
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            cache=cache, obs_dir=args.obs_dir,
-            publish_interval=args.publish_interval,
-            max_inflight=args.max_inflight,
+            cache=cache, max_inflight=args.max_inflight,
             worker_queue_limit=args.queue_limit)
     except (FileNotFoundError, ValueError, WorkerError) as error:
         raise SystemExit(f"error: {error}") from None
@@ -1069,7 +1064,7 @@ def _fleet_up(args) -> int:
                             alert_rules=args.alert_rules,
                             publish_interval=args.publish_interval)
     with server:
-        print(f"fleet: {args.workers} {args.mode} worker(s) serving "
+        print(f"fleet: {args.workers} worker process(es) serving "
               f"{len(router.registry)} model(s) on {server.url} "
               f"(max_inflight={args.max_inflight}, "
               f"queue_limit={args.queue_limit}, "

@@ -11,12 +11,13 @@ discipline (N workers produce byte-identical outputs to one):
   spool with atomic claims and lease-based orphan recovery, plus the
   supervised worker pool that drains it across N processes (train
   sweeps and batch forecasts route through this).
-* :mod:`repro.fleet.router` — multi-worker serve front: shared forecast
-  cache, admission control, queue-depth backpressure, worker
-  supervision with circuit-broken restarts, crash failover with
-  jittered-backoff retries, and ``fleet_*`` telemetry, duck-typing the
-  engine so :class:`~repro.serve.http.ForecastServer` serves a fleet
-  unchanged.
+* :mod:`repro.fleet.router` — multi-worker serve front: a
+  :class:`~repro.serve.engine.BatchingEngine` whose batches run in
+  worker processes, one drain lane per worker.  It adds admission
+  control, queue-depth backpressure, requeue of a crashed batch,
+  circuit-broken worker restarts and ``fleet_*`` telemetry;
+  :class:`~repro.serve.http.ForecastServer` serves a fleet as it serves
+  an engine.
 * :mod:`repro.fleet.chaos` — seeded, replayable fault injection
   (worker kills, stalls, garbled pipes, blob corruption) proving the
   recovery paths above deterministically.
@@ -38,7 +39,6 @@ from repro.fleet.router import (
     FleetBusyError,
     FleetRouter,
     ProcessWorker,
-    ThreadWorker,
     WorkerCrashError,
     WorkerError,
 )
@@ -62,7 +62,6 @@ __all__ = [
     "PoolError",
     "ProcessWorker",
     "RouterChaos",
-    "ThreadWorker",
     "WorkerCrashError",
     "WorkerError",
     "WorkerPool",

@@ -26,8 +26,8 @@ Fault kinds
     :meth:`ArtifactStore.scrub`.
 ``garble_message``
     Send an unparseable message down a :class:`ProcessWorker` pipe; the
-    child exits cleanly, the router's crash detection fails in-flight
-    futures fast and the supervisor restarts the worker.
+    child exits cleanly and its router lane, finding the process dead,
+    restarts it (a batch in flight is requeued).
 
 Two appliers consume plans: :class:`PoolChaos` hooks
 ``WorkerPool.run_until_drained(on_poll=...)`` (trigger unit: jobs
@@ -203,8 +203,7 @@ def garble_pipe(worker) -> bool:
     without any signal delivery.
     """
     try:
-        with worker._send_lock:
-            worker._conn.send("\x00garbled\x00")
+        worker._conn.send("\x00garbled\x00")
     except (OSError, ValueError, AttributeError):
         return False
     return True

@@ -32,14 +32,20 @@ its lease expires, and :meth:`JobStore.reap` moves the orphan back to
 its ``attempts`` counter intact — or to ``failed/`` once the attempt
 budget is spent, so a poison job cannot ping-pong forever.
 
-Completion is *rename-first*: :meth:`complete`/:meth:`fail` atomically
-rename ``running/<id>.json`` to the destination state before rewriting
-it with the result.  Exactly one of {finishing worker, reaper} wins that
-rename; the loser raises/skips.  A stale worker that finishes after its
-job was requeued gets :class:`LeaseLostError` and discards its result —
-the job can be *executed* more than once under pathological stalls
-(executors are deterministic, so the bytes match), but it is *completed*
-exactly once, which is what keeps drained output duplicate-free.
+Completion is *rename-first*: :meth:`complete`/:meth:`fail` first write
+the finished document beside the running one, as
+``running/<id>.final-<attempts>`` (no ``*.json`` glob sees it), then
+atomically rename ``running/<id>.json`` to the destination state — the
+single commit point — and finally install the finished document over
+it.  Exactly one of {finishing worker, reaper} wins that rename; the
+loser raises/skips.  A finisher killed between the commit and the
+install leaves its finished document behind, and :meth:`reap` installs
+it, so a ``done`` job never stays without its result.  A stale worker
+that finishes after its job was requeued gets :class:`LeaseLostError`
+and discards its result — the job can be *executed* more than once
+under pathological stalls (executors are deterministic, so the bytes
+match), but it is *completed* exactly once, which is what keeps drained
+output duplicate-free.
 """
 
 from __future__ import annotations
@@ -139,14 +145,23 @@ class JobStore:
         self.root = Path(root)
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
+        # job id -> deadline given to a running document seen without a
+        # lease (its claimer died between the claim rename and the stamp).
+        self._unstamped: dict[str, float] = {}
         for state in STATES:
             (self.root / state).mkdir(parents=True, exist_ok=True)
 
     def _path(self, state: str, job_id: str) -> Path:
         return self.root / state / f"{job_id}.json"
 
+    def _final_path(self, job: Job) -> Path:
+        """Where a finisher stages its finished document (see reap)."""
+        return self.root / RUNNING / f"{job.job_id}.final-{job.attempts}"
+
     def _write(self, state: str, job: Job) -> None:
-        path = self._path(state, job.job_id)
+        self._dump(self._path(state, job.job_id), job)
+
+    def _dump(self, path: Path, job: Job) -> None:
         tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
         try:
             tmp.write_text(json.dumps(job.to_dict(), sort_keys=True,
@@ -257,18 +272,26 @@ class JobStore:
     # -- completion --------------------------------------------------------
 
     def _finish(self, job: Job, state: str) -> None:
-        # Rename first: exactly one of {this finisher, the reaper} gets
-        # to move the running document, so a job whose lease was reaped
-        # away cannot also land a (duplicate) result.
-        running = self._path(RUNNING, job.job_id)
+        # Stage, commit, install.  The rename is the commit: exactly one
+        # of {this finisher, the reaper} gets to move the running
+        # document, so a job whose lease was reaped away cannot also
+        # land a (duplicate) result.  Staging first means a kill after
+        # the commit leaves the result on disk for reap() to install.
+        final = self._final_path(job)
+        self._dump(final, job)
+        target = self._path(state, job.job_id)
         try:
-            os.rename(running, self._path(state, job.job_id))
+            os.rename(self._path(RUNNING, job.job_id), target)
         except FileNotFoundError:
+            final.unlink(missing_ok=True)
             raise LeaseLostError(
                 f"job {job.job_id!r} is no longer running under "
                 f"{self.root} (lease expired and the job was requeued, "
                 f"or another finisher won); result discarded") from None
-        self._write(state, job)
+        try:
+            os.replace(final, target)
+        except FileNotFoundError:
+            pass        # a reaper installed it first (same bytes)
 
     def complete(self, job: Job, result: dict) -> Job:
         """Record a successful result and move the job to ``done``.
@@ -304,16 +327,31 @@ class JobStore:
         ``"failed"`` (the attempt budget is spent).  Safe to call from
         any process at any time; races with finishing workers and other
         reapers resolve through the same atomic renames claims use.
+
+        First, it installs every committed but never-installed finished
+        document (a finisher killed between commit and install).  A
+        running document without a lease (a claimer killed between its
+        rename and its stamp) expires one lease period after the first
+        reap by this store that sees it.
         """
         now = time.monotonic() if now is None else now
+        self._install_finished()
         actions: list[dict] = []
         for path in sorted((self.root / RUNNING).glob("*.json")):
             try:
                 job = Job.from_dict(json.loads(path.read_text()))
             except (json.JSONDecodeError, JobError, OSError):
                 continue
-            if job.lease_deadline is None or now <= job.lease_deadline:
+            if job.lease_deadline is None:
+                # Claimed but never stamped: one lease period from first
+                # sight, then it expires like any other lease.
+                job.lease_deadline = self._unstamped.setdefault(
+                    job.job_id, now + self.lease_seconds)
+            else:
+                self._unstamped.pop(job.job_id, None)
+            if now <= job.lease_deadline:
                 continue
+            self._unstamped.pop(job.job_id, None)
             expired_worker = job.worker
             if job.attempts >= self.max_attempts:
                 try:
@@ -346,6 +384,37 @@ class JobStore:
                                 "attempts": job.attempts,
                                 "worker": expired_worker})
         return actions
+
+    def _install_finished(self) -> None:
+        """Roll forward completions whose finisher died after the commit.
+
+        A staged ``<id>.final-<n>`` whose running document is gone was
+        committed when the job's document in the finished state carries
+        the same ``attempts``; installing it is idempotent (same bytes as
+        the finisher would write).  Any other staged document whose job
+        is no longer running belongs to an attempt that never committed
+        and is dropped.  One whose job is running again may belong to a
+        live finisher and is left alone.
+        """
+        for final in sorted((self.root / RUNNING).glob("*.final-*")):
+            job_id, _, attempts = final.name.rpartition(".final-")
+            if final.name.startswith(".") \
+                    or self._path(RUNNING, job_id).exists():
+                continue        # a _dump temp file, or a live job
+            try:
+                staged = Job.from_dict(json.loads(final.read_text()))
+                target = self._path(staged.state, job_id)
+                committed = Job.from_dict(json.loads(target.read_text()))
+                install = committed.attempts == int(attempts)
+            except (OSError, ValueError, JobError):
+                install = False
+            if install:
+                try:
+                    os.replace(final, target)
+                except FileNotFoundError:
+                    pass    # the finisher (or another reaper) installed it
+            else:
+                final.unlink(missing_ok=True)
 
     # -- inspection --------------------------------------------------------
 

@@ -361,6 +361,7 @@ class WorkerPool:
                     reap_failed.inc()
 
         def finish() -> dict:
+            reap_once()     # installs a completion whose finisher died
             counts = store.counts()
             counts["requeued"] = int(requeued.value)
             counts["restarts"] = int(restarts.value)

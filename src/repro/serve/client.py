@@ -3,11 +3,13 @@
 Used by the tests, the serving example, and the benchmark; also a reference
 for what a placement tool would embed to query the service.
 
-The client cooperates with fleet backpressure: a 503 whose body came
-from a saturated :class:`~repro.fleet.router.FleetRouter` carries a
-``Retry-After`` header, and with ``retries > 0`` the client sleeps that
-long (or a jittered exponential fallback) and resends — forecasts are
-idempotent, so retrying a rejected or crashed request is always safe.
+The client cooperates with fleet backpressure: a 503 from a saturated
+:class:`~repro.fleet.router.FleetRouter` (admission or backpressure)
+carries a ``Retry-After`` header, and with ``retries > 0`` the client
+sleeps that long (or a jittered exponential fallback) and resends —
+forecasts are idempotent, so retrying a rejected request is always safe.
+A batch lost to a crashed worker is requeued inside the router, so the
+client never sees that crash unless the router's retry budget runs out.
 """
 
 from __future__ import annotations

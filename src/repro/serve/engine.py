@@ -1,18 +1,23 @@
 """Micro-batching inference engine.
 
 Requests from any number of client threads are funneled into one queue; a
-single worker thread drains it, groups up to ``max_batch`` requests (waiting
-at most ``max_wait_ms`` for stragglers once the first arrives), stacks each
-model's inputs into one NCHW batch, and runs a single generator forward per
-model.  Because deterministic inference is batch-invariant (see
+worker thread per *lane* drains it, groups up to ``max_batch`` requests
+(waiting at most ``max_wait_ms`` for stragglers once the first arrives),
+stacks each model's inputs into one NCHW batch, and runs a single generator
+forward per model on its lane.  A plain engine has one lane, running
+forwards in this process; :class:`repro.fleet.router.FleetRouter` is the
+same engine with one lane per worker process.
+
+Because deterministic inference is batch-invariant (see
 :meth:`repro.gan.Pix2Pix.forecast`), a request's result is bitwise the same
 whether it rode a full batch or ran alone — batching is purely a throughput
 optimization, amortizing the per-forward Python and im2col overhead.
 
-Running every forward on one worker thread is also what makes the engine
-safe: the numpy layers cache activations on ``forward``, so a model must
-never run two passes concurrently.  The engine therefore assumes it owns
-its models — don't train a registered model while the engine is running.
+Running every in-process forward on the one lane thread is also what
+makes the engine safe: the numpy layers cache activations on ``forward``,
+so a model must never run two passes concurrently.  The engine therefore
+assumes it owns its models — don't train a registered model while the
+engine is running.
 """
 
 from __future__ import annotations
@@ -54,9 +59,19 @@ class _Request:
     submitted_at: float
     deadline: float | None = None   # perf_counter time after which the
                                     # caller has given up on the result
+    attempts: int = 0        # times requeued after its lane crashed
 
 
 _STOP = object()
+
+
+def warm_models(registry: ModelRegistry, batch: int) -> None:
+    """Preallocate every model's workspace at ``batch`` width."""
+    for model_id in registry.model_ids:
+        model = registry.get(model_id)
+        cfg = model.config
+        model.forecast(np.zeros((batch, cfg.input_channels, cfg.image_size,
+                                 cfg.image_size), dtype=np.float32))
 
 
 class BatchingEngine:
@@ -127,8 +142,7 @@ class BatchingEngine:
         # it gets its own lock (cheap: one uncontended acquire per call).
         self._model_cache: dict[str, tuple] = {}
         self._model_lock = threading.Lock()
-        self._stack_bufs: dict[tuple, np.ndarray] = {}
-        self._worker: threading.Thread | None = None
+        self._threads: list[threading.Thread] | None = None
         self._stopping = False
         # Serializes the stopping-flag check against enqueueing: a submit
         # holding this lock either lands its request ahead of the _STOP
@@ -195,44 +209,56 @@ class BatchingEngine:
 
     @property
     def running(self) -> bool:
-        return self._worker is not None and self._worker.is_alive()
+        return self._threads is not None and any(
+            thread.is_alive() for thread in self._threads)
+
+    def _lanes(self) -> list:
+        """What each drain thread forwards on: one in-process lane."""
+        return [None]
 
     def start(self) -> "BatchingEngine":
-        if self._worker is not None:
+        if self._threads is not None:
             raise RuntimeError("engine is already running (or a previous "
                                "stop() timed out; see stop())")
         if self.warm_start:
-            self._warm_models()
+            warm_models(self.registry, self.max_batch)
         self._stopping = False
-        self._worker = threading.Thread(
-            target=self._run, name="forecast-engine", daemon=True)
-        self._worker.start()
+        self._threads = [
+            threading.Thread(target=self._run, args=(lane,),
+                             name=f"forecast-lane-{index}", daemon=True)
+            for index, lane in enumerate(self._lanes())]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Drain in-flight work, then stop the worker.
+        """Drain in-flight work, then stop the lanes.
 
         New submissions are rejected as soon as stop begins; requests still
-        queued behind the stop marker fail with ``RuntimeError``.  If the
-        worker is wedged in a forward longer than ``timeout``, raises
+        queued behind the stop markers fail with ``RuntimeError``.  If a
+        lane is wedged in a forward longer than ``timeout``, raises
         ``RuntimeError`` and leaves the engine as-is (so a second worker
         can never run the same models concurrently).
         """
-        worker = self._worker
-        if worker is None:
+        threads = self._threads
+        if threads is None:
             return
         with self._submit_lock:
             # Atomic with submit's check: everything enqueued before the
-            # _STOP marker is served by the drain loop; every submit that
-            # loses the race observes _stopping and raises instead of
-            # enqueueing a request nobody will ever resolve.
+            # _STOP markers is served by the drain loops (one marker ends
+            # one lane); every submit that loses the race observes
+            # _stopping and raises instead of enqueueing a request nobody
+            # will ever resolve.
             self._stopping = True
-            self._queue.put(_STOP)
-        worker.join(timeout)
-        if worker.is_alive():
+            for _ in threads:
+                self._queue.put(_STOP)
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        if any(thread.is_alive() for thread in threads):
             raise RuntimeError(
                 f"engine worker did not stop within {timeout}s")
-        self._worker = None
+        self._threads = None
         while True:
             try:
                 item = self._queue.get_nowait()
@@ -241,16 +267,6 @@ class BatchingEngine:
             if item is not _STOP:
                 item.future.set_exception(
                     RuntimeError("engine stopped before request ran"))
-
-    def _warm_models(self) -> None:
-        """Preallocate every model's workspace at full batch width."""
-        for model_id in self.registry.model_ids:
-            model = self.registry.get(model_id)
-            cfg = model.config
-            dummy = np.zeros((self.max_batch, cfg.input_channels,
-                              cfg.image_size, cfg.image_size),
-                             dtype=np.float32)
-            model.forecast(dummy)
 
     def __enter__(self) -> "BatchingEngine":
         return self.start()
@@ -302,6 +318,7 @@ class BatchingEngine:
                     latency_seconds=latency))
                 self._observe_drift(model_id, hit, digest)
                 return future
+        self._admit(future)
         self._m_requests.inc()
         request = _Request(
             model_id=model_id, x=x, digest=digest, future=future,
@@ -309,10 +326,15 @@ class BatchingEngine:
             deadline=now + timeout if timeout is not None else None)
         with self._submit_lock:
             if self._stopping:
-                raise RuntimeError(
-                    "engine is stopping; request rejected")
+                error = RuntimeError("engine is stopping; request rejected")
+                future.set_exception(error)    # resolves _admit's hold
+                raise error
             self._queue.put(request)
         return future
+
+    def _admit(self, future: Future) -> None:
+        """Accept or reject a cache miss before it is queued (raise to
+        reject).  The engine queues everything."""
 
     def _lookup(self, model_id: str) -> tuple:
         with self._model_lock:
@@ -343,11 +365,14 @@ class BatchingEngine:
 
     # -- worker ------------------------------------------------------------
 
-    def _run(self) -> None:
+    def _run(self, lane) -> None:
+        # Per-lane stacking buffers: lanes stack concurrently.
+        buffers: dict[tuple, np.ndarray] = {}
         while True:
             try:
                 first = self._queue.get(timeout=0.1)
             except queue.Empty:
+                self._idle(lane)
                 continue
             if first is _STOP:
                 return
@@ -372,11 +397,15 @@ class BatchingEngine:
                     stop_after = True
                     break
                 batch.append(item)
-            self._serve_batch(batch)
+            self._serve_batch(batch, lane, buffers)
             if stop_after:
                 return
 
-    def _serve_batch(self, batch: list[_Request]) -> None:
+    def _idle(self, lane) -> None:
+        """Called when a lane finds the queue empty for 0.1 s."""
+
+    def _serve_batch(self, batch: list[_Request], lane,
+                     buffers: dict) -> None:
         tracer = self.tracer
         # Deadline check happens here — the last moment before real work
         # starts — so a request whose caller timed out while it queued
@@ -412,20 +441,30 @@ class BatchingEngine:
         with tracer.span("serve.batch", size=len(batch),
                          models=len(groups)):
             for model_id, requests in groups.items():
-                self._serve_group(model_id, requests)
+                self._serve_group(lane, model_id, requests, buffers)
 
-    def _serve_group(self, model_id: str, requests: list[_Request]) -> None:
+    def _forward(self, lane, model_id: str,
+                 stacked: np.ndarray) -> np.ndarray:
+        """One stacked forward on ``lane``: (N, H, W, 3) images."""
+        return self._lookup(model_id)[0].forecast(stacked)
+
+    def _fail(self, lane, requests: list[_Request],
+              error: Exception) -> None:
+        """Resolve the requests of a failed forward."""
+        for request in requests:
+            request.future.set_exception(error)
+
+    def _serve_group(self, lane, model_id: str, requests: list[_Request],
+                     buffers: dict) -> None:
         try:
-            model = self._lookup(model_id)[0]
-            stacked = self._stack_inputs(model_id, requests)
+            stacked = self._stack_inputs(model_id, requests, buffers)
             start = time.perf_counter()
             with self.tracer.span("serve.forward", model=model_id,
                                   batch=len(requests)):
-                images = model.forecast(stacked)
+                images = self._forward(lane, model_id, stacked)
             forward_seconds = time.perf_counter() - start
         except Exception as error:  # surface to every waiting caller
-            for request in requests:
-                request.future.set_exception(error)
+            self._fail(lane, requests, error)
             return
         done = time.perf_counter()
         self._m_forward_seconds.inc(forward_seconds)
@@ -463,17 +502,17 @@ class BatchingEngine:
             # Quality monitoring must never take down serving.
             pass
 
-    def _stack_inputs(self, model_id: str,
-                      requests: list[_Request]) -> np.ndarray:
-        """Stack request inputs into a per-(model, batch-size) reused
-        buffer — the worker is single-threaded and the forward consumes
-        the batch before the buffer can be reused."""
+    def _stack_inputs(self, model_id: str, requests: list[_Request],
+                      buffers: dict) -> np.ndarray:
+        """Stack request inputs into the lane's per-(model, batch-size)
+        reused buffer — a lane is one thread and its forward consumes the
+        batch before the buffer can be reused."""
         key = (model_id, len(requests))
-        buf = self._stack_bufs.get(key)
+        buf = buffers.get(key)
         if buf is None or buf.shape[1:] != requests[0].x.shape:
             buf = np.empty((len(requests),) + requests[0].x.shape,
                            dtype=np.float32)
-            self._stack_bufs[key] = buf
+            buffers[key] = buf
         for index, request in enumerate(requests):
             buf[index] = request.x
         return buf

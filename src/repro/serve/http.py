@@ -1,4 +1,4 @@
-"""Stdlib JSON HTTP API over the batching engine.
+"""Stdlib JSON HTTP API over a batching engine or a fleet router.
 
 Endpoints:
 
@@ -14,9 +14,10 @@ Endpoints:
   monitor signals.  Rules are (re)evaluated against the live registry
   on every poll, so the endpoint works with or without a background
   publisher.
-* ``GET /fleet/status`` — per-worker queue depths and routing counters
-  when the server fronts a :class:`~repro.fleet.router.FleetRouter`
-  (404 on a single-engine server).
+* ``GET /fleet/status`` — per-worker liveness, breaker state, restarts
+  and routing counters when the server fronts a
+  :class:`~repro.fleet.router.FleetRouter` (404 on a single-engine
+  server).
 * ``POST /v1/forecast`` — run one forecast.  Body is JSON with ``model``
   plus either ``input`` (a nested ``(C, H, W)`` list in [-1, 1]) or
   ``place_image`` (``(H, W, 3)`` in [0, 1]) with ``connect_image``
@@ -31,8 +32,11 @@ to ``<obs_dir>/alerts.jsonl``), so a fleet of serve processes sharing
 one ``obs_dir`` aggregates under ``repro obs agg``/``top``.
 
 A ``ThreadingHTTPServer`` handles each connection on its own thread; all
-inference still funnels through the engine's single worker, so concurrent
-HTTP clients are exactly what fills its micro-batches.
+inference funnels through the engine's one queue, so concurrent HTTP
+clients are exactly what fills its micro-batches (on the engine's lane,
+or on a fleet's worker lanes).  A connection that stops sending for
+:data:`READ_TIMEOUT_SECONDS` is dropped — mid-body with a 408 — so a
+stalled client cannot hold a handler thread forever.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ from repro.serve.engine import BatchingEngine
 
 #: Reject request bodies larger than this (64 MB covers a 1024px input).
 MAX_BODY_BYTES = 64 << 20
+
+#: Seconds a connection may go without sending a byte before it is
+#: dropped (a stalled request body is answered 408 first).
+READ_TIMEOUT_SECONDS = 30.0
 
 #: Prometheus text exposition content type (the format /metrics defaults to).
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -110,6 +118,7 @@ def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_SECONDS     # socket timeout, set per connection
 
     # The wrapper stashes itself on the stdlib server object.
     @property
@@ -216,7 +225,12 @@ class _Handler(BaseHTTPRequestHandler):
             if length > MAX_BODY_BYTES:
                 raise ApiError(413, "request body too large")
             try:
-                body = json.loads(self.rfile.read(length))
+                raw = self.rfile.read(length)
+            except TimeoutError:
+                raise ApiError(408, f"request body not received within "
+                                    f"{self.timeout}s") from None
+            try:
+                body = json.loads(raw)
             except ValueError as error:   # bad JSON or not UTF-8
                 raise ApiError(400, f"invalid JSON: {error}") from None
             model_id, x = _parse_forecast_body(body)

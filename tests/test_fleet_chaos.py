@@ -10,6 +10,7 @@ import json
 import os
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from repro.fleet import (
     FleetRouter,
     JobStore,
     LeaseLostError,
-    ProcessWorker,
     WorkerCrashError,
     WorkerPool,
     executor,
@@ -32,7 +32,6 @@ from repro.fleet import (
 )
 from repro.fleet.chaos import ChaosError, corrupt_blob, flip_byte, garble_pipe
 from repro.fleet.pool import EXECUTORS
-from repro.fleet.router import backoff_seconds
 from repro.serve.client import ClientError, ForecastClient
 
 FAR_FUTURE = 1e12          # a monotonic instant past any real lease
@@ -154,6 +153,65 @@ class TestLeases:
         store.reap(now=FAR_FUTURE)
         with pytest.raises(LeaseLostError):
             store.fail(job, "late error")
+
+    def test_kill_between_commit_and_install_is_rolled_forward(
+            self, store, monkeypatch):
+        """A finisher killed after the commit rename, before its result
+        is installed, leaves a done job whose result reap() restores."""
+        import repro.fleet.jobs as jobs_module
+
+        store.submit("echo", {})
+        job = store.claim("w0")
+        real_replace = os.replace
+
+        def killed_at_install(src, dst):
+            if Path(dst).parent.name == "done":
+                raise KeyboardInterrupt("killed before install")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(jobs_module.os, "replace", killed_at_install)
+        with pytest.raises(KeyboardInterrupt):
+            store.complete(job, {"echo": 7})
+        monkeypatch.setattr(jobs_module.os, "replace", real_replace)
+        assert store.get(job.job_id).result is None       # the defect
+        assert store.reap() == []
+        assert store.get(job.job_id).result == {"echo": 7}
+        assert store.counts() == {"pending": 0, "running": 0,
+                                  "done": 1, "failed": 0}
+        assert list((store.root / "running").iterdir()) == []
+
+    def test_uncommitted_staged_result_is_dropped(self, store):
+        """A result staged by an attempt whose lease was reaped before
+        its commit never installs, even after a later attempt finishes."""
+        store.submit("echo", {})
+        stale = store.claim("w0")
+        store._dump(store._final_path(stale), stale)   # staged, then killed
+        store.reap(now=FAR_FUTURE)
+        fresh = store.claim("w1")
+        store.complete(fresh, {"echo": "fresh"})
+        store.reap()
+        assert store.get(fresh.job_id).result == {"echo": "fresh"}
+        assert list((store.root / "running").iterdir()) == []
+
+    def test_claim_killed_before_its_stamp_is_requeued(self, store):
+        """A claimer killed between the claim rename and the lease stamp
+        leaves a running document with no lease; it must not strand."""
+        job = store.submit("echo", {})
+        os.rename(store.root / "pending" / f"{job.job_id}.json",
+                  store.root / "running" / f"{job.job_id}.json")
+        assert store.reap(now=100.0) == []          # grace: one lease
+        assert store.reap(now=100.0 + store.lease_seconds) == []
+        actions = store.reap(now=100.1 + store.lease_seconds)
+        assert [entry["action"] for entry in actions] == ["requeued"]
+        assert store.claim("w1").job_id == job.job_id
+
+    def test_reap_leaves_a_staging_temp_file_alone(self, store):
+        """A finisher mid-write owns its temp file; reap must not touch
+        it even though the job's running document is already gone."""
+        temp = store.root / "running" / ".echo-00000.final-1.tmp-99"
+        temp.write_text("{")
+        store.reap()
+        assert temp.exists()
 
     def test_lease_params_validated(self, tmp_path):
         with pytest.raises(ValueError, match="lease_seconds"):
@@ -293,17 +351,6 @@ class TestCircuitBreaker:
 
 
 class TestBackoff:
-    def test_jittered_exponential_is_seeded_and_bounded(self):
-        import random
-        a = [backoff_seconds(i, 0.05, 1.0, random.Random(9))
-             for i in range(8)]
-        b = [backoff_seconds(i, 0.05, 1.0, random.Random(9))
-             for i in range(8)]
-        assert a == b                            # replayable
-        for attempt, delay in enumerate(a):
-            assert 0 < delay <= 1.0
-            assert delay >= min(1.0, 0.05 * 2 ** attempt) * 0.5
-
     def test_client_backoff_prefers_server_hint(self):
         client = ForecastClient(retries=3, retry_seed=1)
         assert client._backoff(0, 0.75) == 0.75
@@ -458,83 +505,111 @@ class TestRouterFailover:
         model.save(ckpt / "tiny.npz")
         return ckpt, model
 
+    @staticmethod
+    def _wait(predicate, timeout: float = 20.0) -> None:
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.02)
+
     def test_crash_fails_pending_futures_fast_and_typed(self, tmp_path):
         ckpt, _ = self._checkpoints(tmp_path)
-        worker = ProcessWorker("w0", ckpt)
-        worker.start()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 16, 16)).astype(np.float32)
-        # Freeze the child so the requests are provably in flight, then
-        # kill it: EOF on the pipe must fail every pending future with
-        # the typed crash error, not hang them.
-        os.kill(worker.pid, signal.SIGSTOP)
-        futures = [worker.submit("tiny", x, 30.0) for _ in range(3)]
-        os.kill(worker.pid, signal.SIGKILL)
-        started = time.monotonic()
-        for future in futures:
-            with pytest.raises(WorkerCrashError):
-                future.result(timeout=10.0)
-        assert time.monotonic() - started < 5.0
-        assert not worker.alive
-        worker.stop()
+        # No retry budget, and a batch window wide enough to hold all
+        # three requests: the crash must fail them, typed and fast.
+        router = FleetRouter.local(ckpt, workers=1, retry_budget=0,
+                                   max_wait_ms=500.0)
+        with router:
+            victim = router.workers[0]
+            os.kill(victim.pid, signal.SIGSTOP)
+            futures = [router.submit("tiny", x, timeout=30.0)
+                       for _ in range(3)]
+            self._wait(lambda: router.stats()["routed_by_worker"]
+                       .get("w0", 0) == 3)
+            os.kill(victim.pid, signal.SIGKILL)
+            started = time.monotonic()
+            for future in futures:
+                with pytest.raises(WorkerCrashError):
+                    future.result(timeout=10.0)
+            assert time.monotonic() - started < 5.0
+            self._wait(lambda: victim.alive)
+            stats = router.stats()
+        assert stats["errors"] == 3
+        assert stats["retries"] == 0
 
     def test_restart_rewarns_models_and_serves(self, tmp_path):
         ckpt, model = self._checkpoints(tmp_path)
-        worker = ProcessWorker("w0", ckpt)
-        worker.start()
-        first_pid = worker.pid
-        os.kill(worker.pid, signal.SIGKILL)
-        worker.restart()
-        assert worker.pid != first_pid
-        assert worker.restarts == 1
-        assert worker.model_ids == ["tiny"]
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 16, 16)).astype(np.float32)
-        image = worker.submit("tiny", x, 30.0).result(30.0)
+        with FleetRouter.local(ckpt, workers=1) as router:
+            worker = router.workers[0]
+            first_pid = worker.pid
+            os.kill(worker.pid, signal.SIGKILL)     # no traffic at all
+            self._wait(lambda: worker.restarts >= 1 and worker.alive)
+            assert worker.pid != first_pid
+            assert worker.model_ids == ["tiny"]
+            rng = np.random.default_rng(1)
+            x = rng.normal(size=(4, 16, 16)).astype(np.float32)
+            image = router.forecast("tiny", x, timeout=30.0)
+            stats = router.stats()
         assert np.array_equal(image, model.forecast(x))
-        worker.stop()
+        assert stats["restarts"] == {"w0": 1}
+        assert stats["breakers"] == {"w0": "closed"}
 
     def test_router_retries_crashed_requests_bitwise_equal(self, tmp_path):
-        """Kill one of three workers with requests in flight; the router
-        fails over to survivors and results match the serial model."""
+        """Kill one of three workers with a batch in flight; the batch is
+        requeued and every result matches the serial model."""
         ckpt, model = self._checkpoints(tmp_path)
         rng = np.random.default_rng(2)
         inputs = [rng.normal(size=(4, 16, 16)).astype(np.float32)
                   for _ in range(9)]
         reference = [model.forecast(x) for x in inputs]
-        router = FleetRouter.local(
-            ckpt, workers=3, mode="process",
-            supervise_interval=0.2, retry_budget=3, retry_base=0.05)
+        router = FleetRouter.local(ckpt, workers=3, max_batch=3,
+                                   retry_budget=3)
         with router:
-            victim = router.workers[0]
-            os.kill(victim.pid, signal.SIGSTOP)   # requests pile up on w0
+            # Freeze every worker first: each lane takes at most three
+            # requests and holds them, so all three lanes — the victim's
+            # included — provably hold a batch when the kill lands.
+            for worker in router.workers:
+                os.kill(worker.pid, signal.SIGSTOP)
             futures = [router.submit("tiny", x, timeout=60.0)
                        for x in inputs]
-            os.kill(victim.pid, signal.SIGKILL)   # ...then crash it
+            self._wait(lambda: len(router.stats()["routed_by_worker"]) == 3)
+            victim, *survivors = router.workers
+            os.kill(victim.pid, signal.SIGKILL)
+            for worker in survivors:
+                os.kill(worker.pid, signal.SIGCONT)
             images = [future.result(60.0).image for future in futures]
+            self._wait(lambda: router.stats()["restarts"].get("w0", 0) >= 1)
             stats = router.stats()
-            # The supervisor notices the dead worker and restarts it.
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline \
-                    and router.stats()["restarts"].get("w0", 0) < 1:
-                time.sleep(0.1)
-            assert router.stats()["restarts"].get("w0", 0) >= 1
         for image, expected in zip(images, reference):
             assert np.array_equal(image, expected)
         assert stats["retries"] >= 1
         assert stats["errors"] == 0              # crashes retried, not failed
 
+    def test_stall_beyond_heartbeat_timeout_restarts_worker(self, tmp_path):
+        ckpt, model = self._checkpoints(tmp_path)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4, 16, 16)).astype(np.float32)
+        with FleetRouter.local(ckpt, workers=1,
+                               heartbeat_timeout=0.5) as router:
+            worker = router.workers[0]
+            stalled_pid = worker.pid
+            os.kill(stalled_pid, signal.SIGSTOP)   # alive, never replies
+            result = router.forecast_result("tiny", x, timeout=30.0)
+            stats = router.stats()
+        assert np.array_equal(result.image, model.forecast(x))
+        assert worker.restarts == 1
+        assert stats["retries"] == 1 and stats["errors"] == 0
+        with pytest.raises(ProcessLookupError):
+            os.kill(stalled_pid, 0)              # the stalled child is gone
+
     def test_garbled_pipe_message_recovers_via_restart(self, tmp_path):
         ckpt, model = self._checkpoints(tmp_path)
-        router = FleetRouter.local(ckpt, workers=1, mode="process",
-                                   supervise_interval=0.2)
+        router = FleetRouter.local(ckpt, workers=1)
         with router:
             worker = router.workers[0]
             assert garble_pipe(worker)
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline and worker.restarts < 1:
-                time.sleep(0.1)
-            assert worker.restarts >= 1
+            self._wait(lambda: worker.restarts >= 1)
             rng = np.random.default_rng(3)
             x = rng.normal(size=(4, 16, 16)).astype(np.float32)
             result = router.forecast_result("tiny", x, timeout=30.0)
@@ -544,8 +619,7 @@ class TestRouterFailover:
 
     def test_stats_surface_new_counters(self, tmp_path):
         ckpt, _ = self._checkpoints(tmp_path)
-        router = FleetRouter.local(ckpt, workers=1, mode="process",
-                                   supervise=False)
+        router = FleetRouter.local(ckpt, workers=1)
         with router:
             stats = router.stats()
             status = router.fleet_status()

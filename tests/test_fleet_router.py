@@ -1,6 +1,8 @@
 """Fleet router: byte identity, shared cache, admission, backpressure."""
 
 import json
+import os
+import signal
 import time
 import urllib.request
 
@@ -8,41 +10,45 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_tiny_model
-from repro.fleet import FleetBusyError, FleetRouter, ThreadWorker
+from repro.fleet import (
+    FleetBusyError,
+    FleetRouter,
+    ProcessWorker,
+    WorkerError,
+)
+from repro.obs.aggregate import aggregate_dir
+from repro.obs.timeseries import flatten_export
 from repro.serve import (
     BatchingEngine,
     ForecastCache,
+    ForecastClient,
     ForecastServer,
     ModelRegistry,
 )
 
 
-def _registry(model=None):
-    registry = ModelRegistry()
-    registry.register("tiny", model if model is not None
-                      else make_tiny_model())
-    return registry
+@pytest.fixture(scope="module")
+def ckpt(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fleet-ckpt")
+    make_tiny_model().save(directory / "tiny.npz")
+    return directory
 
 
-def _thread_router(workers=2, **kwargs):
-    built = [ThreadWorker(f"w{i}", _registry()) for i in range(workers)]
-    return FleetRouter(built, _registry(), **kwargs)
+def _registry(ckpt):
+    return ModelRegistry.from_directory(ckpt)
 
 
-class SlowModel:
-    """Delegates everything to a real model, but forecasts slowly —
-    pins requests in flight so saturation states are testable."""
+def _wait_routed(router, count: int, timeout: float = 20.0) -> None:
+    """Block until ``count`` requests have been shipped to workers."""
+    deadline = time.monotonic() + timeout
+    while sum(router.stats()["routed_by_worker"].values()) < count:
+        assert time.monotonic() < deadline, "requests never dispatched"
+        time.sleep(0.01)
 
-    def __init__(self, inner, delay: float = 0.3):
-        self._inner = inner
-        self._delay = delay
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def forecast(self, x):
-        time.sleep(self._delay)
-        return self._inner.forecast(x)
+def _signal_workers(router, sig) -> None:
+    for worker in router.workers:
+        os.kill(worker.pid, sig)
 
 
 @pytest.fixture()
@@ -53,14 +59,14 @@ def inputs():
 
 
 class TestByteIdentity:
-    def test_four_workers_match_single_engine_shuffled(self, inputs):
+    def test_four_workers_match_single_engine_shuffled(self, ckpt, inputs):
         """The acceptance bar: a 4-worker fleet returns bit-identical
         forecasts to one engine, regardless of arrival order."""
-        with BatchingEngine(_registry()) as engine:
+        with BatchingEngine(_registry(ckpt)) as engine:
             reference = [engine.forecast_result("tiny", x).image
                          for x in inputs]
         order = list(np.random.default_rng(5).permutation(len(inputs)))
-        with _thread_router(workers=4) as router:
+        with FleetRouter.local(ckpt, workers=4) as router:
             futures = {index: router.submit("tiny", inputs[index],
                                             timeout=60.0)
                        for index in order}
@@ -69,14 +75,10 @@ class TestByteIdentity:
         for index, expected in enumerate(reference):
             assert np.array_equal(images[index], expected)
 
-    def test_process_workers_match_single_engine(self, tmp_path, inputs):
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        model = make_tiny_model()
-        model.save(ckpt / "tiny.npz")
+    def test_process_workers_match_single_engine(self, ckpt, inputs):
+        model = _registry(ckpt).get("tiny")
         reference = [model.forecast(x) for x in inputs[:4]]
-        router = FleetRouter.local(ckpt, workers=2, mode="process")
-        with router:
+        with FleetRouter.local(ckpt, workers=2) as router:
             futures = [router.submit("tiny", x, timeout=120.0)
                        for x in inputs[:4]]
             images = [future.result(120.0).image for future in futures]
@@ -85,23 +87,25 @@ class TestByteIdentity:
 
 
 class TestSharedCache:
-    def test_cache_hit_crosses_workers(self, inputs):
+    def test_cache_hit_crosses_workers(self, ckpt, inputs):
         cache = ForecastCache(32)
-        with _thread_router(workers=2, cache=cache) as router:
-            # Pin w0 so the miss computes on w1; the repeat request
-            # would route to w0, but the shared cache answers first.
-            router.workers[0]._depth = 99
+        with FleetRouter.local(ckpt, workers=2, cache=cache) as router:
             miss = router.forecast_result("tiny", inputs[0], timeout=30.0)
-            router.workers[0]._depth = 0
-            hit = router.forecast_result("tiny", inputs[0], timeout=30.0)
+            # With every worker frozen, only the shared cache can answer.
+            _signal_workers(router, signal.SIGSTOP)
+            try:
+                hit = router.forecast_result("tiny", inputs[0], timeout=5.0)
+            finally:
+                _signal_workers(router, signal.SIGCONT)
             stats = router.stats()
         assert miss.cached is False and hit.cached is True
-        assert stats["routed_by_worker"] == {"w1": 1}
+        assert sum(stats["routed_by_worker"].values()) == 1
         assert cache.hits == 1
         assert np.array_equal(miss.image, hit.image)
 
-    def test_cache_hit_counts_in_latency_not_routing(self, inputs):
-        with _thread_router(workers=1, cache=ForecastCache(8)) as router:
+    def test_cache_hit_counts_in_latency_not_routing(self, ckpt, inputs):
+        with FleetRouter.local(ckpt, workers=1,
+                               cache=ForecastCache(8)) as router:
             router.forecast_result("tiny", inputs[0])
             router.forecast_result("tiny", inputs[0])
             stats = router.stats()
@@ -111,21 +115,23 @@ class TestSharedCache:
 
 
 class TestSaturation:
-    def _slow_router(self, **kwargs):
-        registry = ModelRegistry()
-        registry.register("tiny", SlowModel(make_tiny_model()))
-        worker = ThreadWorker("w0", registry)
-        return FleetRouter([worker], _registry(), **kwargs)
+    """The lone worker is frozen (SIGSTOP) so requests stay in flight."""
 
-    def test_admission_control_rejects_beyond_max_inflight(self, inputs):
-        with self._slow_router(max_inflight=2,
+    def test_admission_control_rejects_beyond_max_inflight(self, ckpt,
+                                                           inputs):
+        with FleetRouter.local(ckpt, workers=1, max_inflight=2,
                                worker_queue_limit=64) as router:
-            first = router.submit("tiny", inputs[0], timeout=30.0)
-            second = router.submit("tiny", inputs[1], timeout=30.0)
-            with pytest.raises(FleetBusyError, match="max_inflight") \
-                    as rejected:
-                router.submit("tiny", inputs[2], timeout=30.0)
+            _signal_workers(router, signal.SIGSTOP)
+            try:
+                first = router.submit("tiny", inputs[0], timeout=30.0)
+                second = router.submit("tiny", inputs[1], timeout=30.0)
+                with pytest.raises(FleetBusyError, match="max_inflight") \
+                        as rejected:
+                    router.submit("tiny", inputs[2], timeout=30.0)
+            finally:
+                _signal_workers(router, signal.SIGCONT)
             assert rejected.value.reason == "admission"
+            assert rejected.value.retry_after == router.retry_after
             first.result(30.0)
             second.result(30.0)
             # Capacity returns once the fleet drains.
@@ -133,14 +139,23 @@ class TestSaturation:
             stats = router.stats()
         assert stats["rejected"] == {"admission": 1}
 
-    def test_backpressure_rejects_on_deep_worker_queues(self, inputs):
-        with self._slow_router(max_inflight=64,
+    def test_backpressure_rejects_on_deep_worker_queues(self, ckpt, inputs):
+        with FleetRouter.local(ckpt, workers=1, max_inflight=64,
                                worker_queue_limit=1) as router:
-            pending = router.submit("tiny", inputs[0], timeout=30.0)
-            with pytest.raises(FleetBusyError, match="queue") as rejected:
-                router.submit("tiny", inputs[1], timeout=30.0)
+            _signal_workers(router, signal.SIGSTOP)
+            try:
+                shipped = router.submit("tiny", inputs[0], timeout=30.0)
+                _wait_routed(router, 1)      # the lane holds it now
+                queued = router.submit("tiny", inputs[1], timeout=30.0)
+                with pytest.raises(FleetBusyError, match="queue") \
+                        as rejected:
+                    router.submit("tiny", inputs[2], timeout=30.0)
+            finally:
+                _signal_workers(router, signal.SIGCONT)
             assert rejected.value.reason == "backpressure"
-            pending.result(30.0)
+            assert rejected.value.retry_after == router.retry_after
+            shipped.result(30.0)
+            queued.result(30.0)
             stats = router.stats()
         assert stats["rejected"] == {"backpressure": 1}
 
@@ -149,43 +164,82 @@ class TestSaturation:
         # stay on that path.
         assert issubclass(FleetBusyError, RuntimeError)
 
+    @pytest.mark.parametrize("reason,limits", [
+        ("admission", {"max_inflight": 1}),
+        ("backpressure", {"worker_queue_limit": 1}),
+    ])
+    def test_http_503_carries_retry_after(self, ckpt, inputs, reason,
+                                          limits):
+        router = FleetRouter.local(ckpt, workers=1, retry_after=0.25,
+                                   **limits)
+        with ForecastServer(router, port=0) as server:
+            _signal_workers(router, signal.SIGSTOP)
+            try:
+                pending = [router.submit("tiny", inputs[0], timeout=30.0)]
+                _wait_routed(router, 1)
+                if reason == "backpressure":
+                    pending.append(router.submit("tiny", inputs[1],
+                                                 timeout=30.0))
+                body = json.dumps({"model": "tiny",
+                                   "input": inputs[2].tolist()}).encode()
+                request = urllib.request.Request(
+                    f"{server.url}/v1/forecast", data=body,
+                    headers={"Content-Type": "application/json"})
+                with pytest.raises(urllib.error.HTTPError) as failure:
+                    urllib.request.urlopen(request)
+            finally:
+                _signal_workers(router, signal.SIGCONT)
+            for future in pending:
+                future.result(30.0)
+            rejected = router.stats()["rejected"]
+        failure.value.close()
+        assert failure.value.code == 503
+        assert failure.value.headers["Retry-After"] == "0.250"
+        assert rejected == {reason: 1}
+
 
 class TestRouting:
-    def test_concurrent_load_spreads_across_workers(self, inputs):
-        with _thread_router(workers=3) as router:
-            futures = [router.submit("tiny", x, timeout=60.0)
-                       for x in inputs]
+    def test_concurrent_load_spreads_across_workers(self, ckpt, inputs):
+        with FleetRouter.local(ckpt, workers=3, max_batch=2) as router:
+            _signal_workers(router, signal.SIGSTOP)
+            try:
+                futures = [router.submit("tiny", x, timeout=60.0)
+                           for x in inputs]
+                # Frozen workers hold their lanes' batches, so the
+                # queue can only drain through every lane.
+                _wait_routed(router, 3)
+            finally:
+                _signal_workers(router, signal.SIGCONT)
             for future in futures:
                 future.result(60.0)
             routed = router.stats()["routed_by_worker"]
         assert sum(routed.values()) == len(inputs)
         assert len(routed) > 1           # more than one worker served
 
-    def test_unknown_model_raises_keyerror(self, inputs):
-        with _thread_router(workers=1) as router:
+    def test_unknown_model_raises_keyerror(self, ckpt, inputs):
+        with FleetRouter.local(ckpt, workers=1) as router:
             with pytest.raises(KeyError):
                 router.submit("nope", inputs[0])
 
-    def test_wrong_shape_rejected(self):
-        with _thread_router(workers=1) as router:
+    def test_wrong_shape_rejected(self, ckpt):
+        with FleetRouter.local(ckpt, workers=1) as router:
             with pytest.raises(ValueError, match="expects input shape"):
                 router.submit("tiny", np.zeros((4, 8, 8), dtype=np.float32))
 
-    def test_submit_requires_running_router(self, inputs):
-        router = _thread_router(workers=1)
+    def test_submit_requires_running_router(self, ckpt, inputs):
+        router = FleetRouter.local(ckpt, workers=1)
         with pytest.raises(RuntimeError, match="not running"):
             router.submit("tiny", inputs[0])
 
-    def test_duplicate_worker_ids_rejected(self):
-        workers = [ThreadWorker("w0", _registry()),
-                   ThreadWorker("w0", _registry())]
+    def test_duplicate_worker_ids_rejected(self, ckpt):
+        workers = [ProcessWorker("w0", ckpt), ProcessWorker("w0", ckpt)]
         with pytest.raises(ValueError, match="duplicate"):
-            FleetRouter(workers, _registry())
+            FleetRouter(workers, _registry(ckpt))
 
 
 class TestHttpFront:
-    def test_forecast_server_serves_a_fleet(self, inputs):
-        router = _thread_router(workers=2, cache=ForecastCache(16))
+    def test_forecast_server_serves_a_fleet(self, ckpt, inputs):
+        router = FleetRouter.local(ckpt, workers=2, cache=ForecastCache(16))
         with ForecastServer(router, port=0) as server:
             body = json.dumps({"model": "tiny",
                                "input": inputs[0].tolist()}).encode()
@@ -204,6 +258,7 @@ class TestHttpFront:
         assert status["stats"]["requests"] == 2
         assert [worker["id"] for worker in status["workers"]] \
             == ["w0", "w1"]
+        assert all(worker["alive"] for worker in status["workers"])
         assert status["models"] == ["tiny"]
         assert not router.running
 
@@ -216,36 +271,65 @@ class TestHttpFront:
                 urllib.request.urlopen(f"{server.url}/fleet/status")
             assert failure.value.code == 404
 
-    def test_prometheus_exposition_has_fleet_metrics(self, inputs):
-        router = _thread_router(workers=1)
+    def test_prometheus_exposition_has_fleet_metrics(self, ckpt, inputs):
+        router = FleetRouter.local(ckpt, workers=1)
         with ForecastServer(router, port=0) as server:
             router.forecast_result("tiny", inputs[0])
             with urllib.request.urlopen(
                     f"{server.url}/metrics") as response:
                 text = response.read().decode()
-        assert "fleet_requests_total 1" in text
+        assert "serve_requests_total 1" in text
         assert "fleet_routed_total" in text
+
+    def test_shared_obs_dir_counts_each_request_once(self, ckpt, inputs,
+                                                     tmp_path):
+        """The HTTP server is the fleet's one publisher: N forecasts
+        read back as N, not once per publisher."""
+        router = FleetRouter.local(ckpt, workers=2)
+        server = ForecastServer(router, port=0, obs_dir=tmp_path,
+                                publish_interval=60.0)
+        with server:
+            client = ForecastClient(port=server.port)
+            for x in inputs[:3]:
+                client.forecast("tiny", x)
+        fleet = aggregate_dir(tmp_path)
+        totals = flatten_export(fleet.merged)
+        assert len(fleet.workers) == 1
+        assert totals["serve_requests_total"] == 3
+        assert totals["http_requests_total{route=/v1/forecast}"] == 3
 
 
 class TestLifecycle:
-    def test_stop_is_idempotent_surface(self, inputs):
-        router = _thread_router(workers=2)
+    def test_stop_is_idempotent_surface(self, ckpt, inputs):
+        router = FleetRouter.local(ckpt, workers=2)
         router.start()
         router.forecast_result("tiny", inputs[0])
+        router.stop()
         router.stop()
         assert not router.running
         assert all(not worker.alive for worker in router.workers)
 
-    def test_start_twice_rejected(self):
-        router = _thread_router(workers=1)
+    def test_start_twice_rejected(self, ckpt):
+        router = FleetRouter.local(ckpt, workers=1)
         with router:
             with pytest.raises(RuntimeError, match="already running"):
                 router.start()
 
-    def test_router_validates_limits(self):
+    def test_worker_that_cannot_load_fails_start(self, ckpt, tmp_path):
+        """A worker whose checkpoints do not load fails start() with a
+        typed error, and the workers already up are stopped again."""
+        (tmp_path / "tiny.npz").write_bytes(b"not a checkpoint")
+        good, bad = ProcessWorker("w0", ckpt), ProcessWorker("w1", tmp_path)
+        router = FleetRouter([good, bad], _registry(ckpt))
+        with pytest.raises(WorkerError, match="w1 failed to load"):
+            router.start()
+        assert not good.alive and not bad.alive
+        assert not router.running
+
+    def test_router_validates_limits(self, ckpt):
         with pytest.raises(ValueError, match="max_inflight"):
-            _thread_router(workers=1, max_inflight=0)
+            FleetRouter.local(ckpt, workers=1, max_inflight=0)
         with pytest.raises(ValueError, match="worker_queue_limit"):
-            _thread_router(workers=1, worker_queue_limit=0)
+            FleetRouter.local(ckpt, workers=1, worker_queue_limit=0)
         with pytest.raises(ValueError, match="at least one"):
-            FleetRouter([], _registry())
+            FleetRouter([], _registry(ckpt))

@@ -4,11 +4,13 @@ import http.client
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 import repro
+import repro.serve.http as http_module
 from repro.gan.dataset import make_input_stack
 from repro.serve import (
     BatchingEngine,
@@ -195,6 +197,27 @@ class TestErrors:
         status, document = _raw_post(server.port, length, body)
         assert status == 400
         assert "error" in document
+        x = np.zeros((4, 16, 16), np.float32)
+        assert client.forecast("tiny", x=x).cached is False
+
+    def test_stalled_body_408_then_keeps_serving(self, server, client,
+                                                 monkeypatch):
+        """A client that sends less body than its Content-Length and
+        keeps the socket open must not hold a handler thread forever."""
+        monkeypatch.setattr(http_module._Handler, "timeout", 0.5)
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=3.0) as sock:
+            sock.sendall(b"POST /v1/forecast HTTP/1.1\r\nHost: localhost\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b'{"model": ')
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            document = json.loads(response.read())
+        assert response.status == 408
+        assert response.getheader("Connection") == "close"
+        assert "error" in document
+        assert time.monotonic() - started < 3.0
         x = np.zeros((4, 16, 16), np.float32)
         assert client.forecast("tiny", x=x).cached is False
 
