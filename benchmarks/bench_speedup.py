@@ -4,16 +4,10 @@
 inference time" — the paper reports ~0.09 s inference against minutes-scale
 routing.  Here both run on the same CPU, so the ratio is the honest
 substrate-relative speedup.
-
-This bench also owns the repo's canonical hot-path timings (training step
-and single forecast, from ``workloads.py``) so ``BENCH_speedup.json``
-records the perf trajectory of the ``repro.nn`` core against the pinned
-pre-PR baselines in ``benchmarks/baselines/``.
 """
 
 from conftest import write_result
 from reporting import benchmark_entry, entry, write_bench_json
-from workloads import measure_forecast_single, measure_train_step
 
 from repro.flows import measure_speedup
 
@@ -27,23 +21,15 @@ def test_speedup(benchmark, scale, ode_bundle, ode_trainer, quality_checks):
     benchmark(infer)
     report = measure_speedup(ode_bundle, ode_trainer, repeats=5)
 
-    train = measure_train_step(scale)
-    forecast = measure_forecast_single(scale)
-
     lines = [
         f"Section 5.1 speedup (design ode, scale={scale.name})",
         f"  mean routing runtime:   {report.mean_route_seconds * 1e3:8.1f} ms",
         f"  mean inference runtime: {report.mean_infer_seconds * 1e3:8.1f} ms",
         f"  speedup: {report.speedup:.0f}x",
-        f"  hot path: training step {train['wall_time_s'] * 1e3:.2f} ms, "
-        f"single forecast {forecast['wall_time_s'] * 1e3:.2f} ms "
-        f"(image {scale.image_size}px)",
     ]
     write_result("speedup", lines)
 
     write_bench_json("speedup", [
-        entry(**train),
-        entry(**forecast),
         benchmark_entry("forecast_ode_trained", benchmark,
                         shape=sample.x.shape),
         entry("routing_pass", wall_time_s=report.mean_route_seconds,

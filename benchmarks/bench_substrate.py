@@ -1,17 +1,13 @@
-"""S1 — substrate micro-benchmarks: placer, router, renderer, model.
+"""S1 — substrate micro-benchmark: the placer.
 
-Not a paper artifact; these keep the substrate's performance visible so
-regressions in the annealer/router/conv kernels are caught alongside the
-experiment benches.
+Not a paper artifact; it keeps the annealer's throughput visible.  The
+router, renderer and model are measured end to end by ``perfbench/``.
 """
 
-import numpy as np
 from conftest import write_result
 from reporting import benchmark_entry, write_bench_json
 
-from repro.fpga import PathFinderRouter, Placement, PlacerOptions, SimulatedAnnealingPlacer
-from repro.gan import Pix2Pix, Pix2PixConfig
-from repro.viz import render_placement
+from repro.fpga import PlacerOptions, SimulatedAnnealingPlacer
 
 
 def test_placer_throughput(benchmark, scale, suite_bundles):
@@ -32,62 +28,3 @@ def test_placer_throughput(benchmark, scale, suite_bundles):
                         items_per_round=result.num_moves),
     ], scale.name)
     assert result.improvement > 0.1
-
-
-def test_router_throughput(benchmark, scale, suite_bundles):
-    bundle = suite_bundles["OR1200"]
-    placement = bundle.placements[0]
-
-    def route():
-        return PathFinderRouter(bundle.netlist, bundle.arch,
-                                placement).route()
-
-    result = benchmark(route)
-    write_result("substrate_router", [
-        f"router: {bundle.netlist.num_nets} nets, wirelength "
-        f"{result.wirelength}, converged={result.converged} "
-        f"in {result.iterations} iterations",
-    ])
-    write_bench_json("substrate_router", [
-        benchmark_entry("router_route", benchmark,
-                        items_per_round=bundle.netlist.num_nets),
-    ], scale.name)
-    assert set(result.net_trees) == {n.id for n in bundle.netlist.nets}
-
-
-def test_render_throughput(benchmark, suite_bundles):
-    bundle = suite_bundles["OR1200"]
-    image = benchmark(render_placement, bundle.placements[0], bundle.layout)
-    assert image.shape == (bundle.layout.image_size,
-                           bundle.layout.image_size, 3)
-    from repro.config import get_scale
-    write_bench_json("substrate_render", [
-        benchmark_entry("render_placement", benchmark, shape=image.shape),
-    ], get_scale().name)
-
-
-def test_generator_inference_rate(benchmark, scale, suite_bundles):
-    bundle = suite_bundles["OR1200"]
-    model = Pix2Pix(Pix2PixConfig.from_scale(
-        scale, image_size=bundle.layout.image_size))
-    x = bundle.dataset[0].x[None]
-
-    out = benchmark(model.generate, x)
-    assert out.shape[1] == 3
-    write_bench_json("substrate_generator", [
-        benchmark_entry("generator_forward", benchmark, shape=x.shape),
-    ], scale.name)
-
-
-def test_train_step_rate(benchmark, scale, suite_bundles):
-    bundle = suite_bundles["OR1200"]
-    model = Pix2Pix(Pix2PixConfig.from_scale(
-        scale, image_size=bundle.layout.image_size))
-    sample = bundle.dataset[0]
-
-    losses = benchmark(model.train_step, sample.x[None], sample.y[None])
-    assert np.isfinite(losses.g_total)
-    write_bench_json("substrate_train_step", [
-        benchmark_entry("train_step_or1200", benchmark,
-                        shape=sample.x[None].shape),
-    ], scale.name)

@@ -4,16 +4,12 @@ Every ``bench_*.py`` writes, next to its human-readable table in
 ``benchmarks/results/``, a JSON document of measurement entries so the
 perf trajectory is diffable across PRs:
 
-    {"bench": "serve", "scale": "smoke", "calibration_s": 0.0123,
-     "entries": [{"op": "serve_throughput_b16", "shape": [16, 4, 32, 32],
-                  "wall_time_s": ..., "throughput": ...,
-                  "speedup_vs_baseline": 2.01}, ...]}
+    {"bench": "eval", "scale": "smoke", "calibration_s": 0.0123,
+     "entries": [{"op": "eval_batch16", "shape": [16, 4, 32, 32],
+                  "wall_time_s": ..., "throughput": ...}, ...]}
 
-``speedup_vs_baseline`` compares against the committed pre-PR numbers in
-``benchmarks/baselines/<scale>.json`` (see ``capture_baseline.py``),
-normalized by each machine's calibration factor — a fixed numpy workload
-timed at capture and at bench time — so the ratio survives running the
-bench on hardware slower or faster than the baseline host.
+``calibration_s`` times a fixed numpy workload on the host that ran the
+bench, so a reader can tell a slower host from a slower program.
 """
 
 from __future__ import annotations
@@ -25,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 RESULTS_DIR = Path(__file__).parent / "results"
-BASELINE_DIR = Path(__file__).parent / "baselines"
 
 
 def machine_calibration(repeats: int = 5) -> float:
     """Seconds for a fixed single-thread numpy workload (best-of).
 
-    Used to normalize wall times across machines: a host that runs this
-    2x slower is expected to run the benches about 2x slower too.
+    A host that runs this 2x slower is expected to run the benches about
+    2x slower too.
     """
     rng = np.random.default_rng(12345)
     a = rng.normal(size=(192, 192)).astype(np.float32)
@@ -57,7 +52,6 @@ def entry(op: str, *, shape=None, wall_time_s: float | None = None,
         "shape": list(shape) if shape is not None else None,
         "wall_time_s": wall_time_s,
         "throughput": throughput,
-        "speedup_vs_baseline": None,
     }
     row.update(extra)
     return row
@@ -76,35 +70,11 @@ def benchmark_entry(op: str, benchmark, *, shape=None,
                  **extra)
 
 
-def load_baseline(scale_name: str) -> dict | None:
-    path = BASELINE_DIR / f"{scale_name}.json"
-    if not path.is_file():
-        return None
-    return json.loads(path.read_text())
-
-
 def write_bench_json(name: str, entries: list[dict], scale_name: str,
                      calibration_s: float | None = None) -> Path:
-    """Write ``results/BENCH_<name>.json``, resolving baseline speedups.
-
-    Speedup is ``baseline_wall / wall`` with both sides divided by their
-    host's calibration time; entries whose op has no committed baseline
-    keep ``speedup_vs_baseline: null``.
-    """
+    """Write ``results/BENCH_<name>.json`` with the host's calibration."""
     if calibration_s is None:
         calibration_s = machine_calibration()
-    baseline = load_baseline(scale_name)
-    base_ops = (baseline or {}).get("ops", {})
-    base_calib = (baseline or {}).get("calibration_s") or None
-    for row in entries:
-        base = base_ops.get(row["op"])
-        wall = row.get("wall_time_s")
-        if not base or not wall or not base.get("wall_time_s"):
-            continue
-        ratio = base["wall_time_s"] / wall
-        if base_calib and calibration_s:
-            ratio *= calibration_s / base_calib
-        row["speedup_vs_baseline"] = round(ratio, 4)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{name}.json"
     document = {

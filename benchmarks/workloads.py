@@ -1,10 +1,8 @@
-"""Canonical hot-path workloads shared by benches and the baseline pin.
+"""Model workloads on synthetic data, shared by the benches and the gate.
 
-These measure the repo's four performance-critical operations on
-synthetic data derived only from the experiment scale — no dataset or
-trained checkpoint required — so ``capture_baseline.py`` can pin the
-exact same workloads on any git revision and the bench JSONs can report
-honest speedups against them.
+Every input derives from the experiment scale alone (no dataset or
+trained checkpoint), so ``perf_gate.py`` can time the same workload
+against any revision's ``src/``.
 
 All timings are best-of-N means (robust against scheduler noise on
 shared machines).
@@ -68,18 +66,6 @@ def measure_train_step(scale, reps: int = 20) -> dict:
             "wall_time_s": wall, "throughput": 1.0 / wall}
 
 
-def measure_forecast_single(scale, reps: int = 40) -> dict:
-    """Mean seconds per deterministic single-input forecast."""
-    model = _make_model(scale)
-    x = _inputs(scale, 1)[0]
-    for _ in range(3):
-        model.forecast(x)
-    wall = _best_mean(lambda: model.forecast(x), reps)
-    side = scale.image_size
-    return {"op": "forecast_single", "shape": [4, side, side],
-            "wall_time_s": wall, "throughput": 1.0 / wall}
-
-
 def measure_eval_batch(scale, batch: int = 16, reps: int = 12) -> dict:
     """Mean seconds per deterministic batch forecast (the eval unit)."""
     model = _make_model(scale)
@@ -91,48 +77,3 @@ def measure_eval_batch(scale, batch: int = 16, reps: int = 12) -> dict:
     wall = _best_mean(lambda: model.forecast(xb), reps)
     return {"op": f"eval_batch{batch}", "shape": [batch, 4, side, side],
             "wall_time_s": wall, "throughput": batch / wall}
-
-
-def measure_serve_throughput(scale, max_batch: int = 16,
-                             num_requests: int = 48,
-                             trials: int = 4) -> dict:
-    """End-to-end engine throughput over a fixed pre-submitted load."""
-    from repro.serve import BatchingEngine, ModelRegistry
-
-    model = _make_model(scale)
-    registry = ModelRegistry()
-    registry.register("bench", model)
-    inputs = _inputs(scale, num_requests)
-    best = float("inf")
-    for _ in range(trials):
-        engine = BatchingEngine(registry, max_batch=max_batch,
-                                max_wait_ms=20.0 if max_batch > 1 else 0.0)
-        try:
-            engine = engine.start()
-        except TypeError:      # older signatures, defensive
-            pass
-        try:
-            for x in inputs[:4]:
-                engine.forecast("bench", x)
-            start = time.perf_counter()
-            futures = [engine.submit("bench", x) for x in inputs]
-            for future in futures:
-                future.result(timeout=120.0)
-            best = min(best, time.perf_counter() - start)
-        finally:
-            engine.stop()
-    side = scale.image_size
-    return {"op": f"serve_throughput_b{max_batch}",
-            "shape": [max_batch, 4, side, side],
-            "wall_time_s": best / num_requests,
-            "throughput": num_requests / best}
-
-
-def measure_all(scale) -> list[dict]:
-    """The canonical op set, in reporting order."""
-    return [
-        measure_train_step(scale),
-        measure_forecast_single(scale),
-        measure_eval_batch(scale),
-        measure_serve_throughput(scale),
-    ]

@@ -39,7 +39,6 @@ class ExperimentScale:
     design_max_luts: int       # ceiling on scaled #LUTs
     cluster_size: int          # LUT/FF pairs packed per CLB (VTR k6_N10: 10)
     channel_width: int         # routing channel capacity (Fig 2 example: 34)
-    router_max_iters: int      # PathFinder rip-up & reroute iterations
     l1_weight: float = 50.0    # paper: L1 weight 50
     connect_weight: float = 0.1  # paper: lambda = 0.1
     learning_rate: float = 2e-4  # paper: 0.0002
@@ -69,7 +68,6 @@ PAPER = ExperimentScale(
     design_max_luts=10_000,
     cluster_size=10,
     channel_width=34,
-    router_max_iters=30,
 )
 
 # CPU preset: the learning rate is raised to 1e-3 — at 1/8th the filter
@@ -90,7 +88,6 @@ DEFAULT = ExperimentScale(
     design_max_luts=220,
     cluster_size=4,
     channel_width=12,
-    router_max_iters=8,
     learning_rate=1e-3,
     top_k=4,
 )
@@ -109,7 +106,6 @@ SMOKE = ExperimentScale(
     design_max_luts=48,
     cluster_size=4,
     channel_width=8,
-    router_max_iters=4,
     learning_rate=1e-3,
     top_k=2,
 )

@@ -110,18 +110,42 @@ class Job:
 
     @classmethod
     def from_dict(cls, document: dict) -> "Job":
+        """Rebuild a job; :class:`JobError` unless ``document`` is one."""
         try:
-            return cls(job_id=document["job_id"], kind=document["kind"],
-                       payload=document["payload"],
-                       state=document.get("state", PENDING),
-                       submit_index=int(document.get("submit_index", 0)),
-                       worker=document.get("worker"),
-                       result=document.get("result"),
-                       error=document.get("error"),
-                       attempts=int(document.get("attempts", 0)),
-                       lease_deadline=document.get("lease_deadline"))
+            job = cls(job_id=document["job_id"], kind=document["kind"],
+                      payload=document["payload"],
+                      state=document.get("state", PENDING),
+                      submit_index=int(document.get("submit_index", 0)),
+                      worker=document.get("worker"),
+                      result=document.get("result"),
+                      error=document.get("error"),
+                      attempts=int(document.get("attempts", 0)),
+                      lease_deadline=document.get("lease_deadline"))
+            if job.lease_deadline is not None:
+                job.lease_deadline = float(job.lease_deadline)
         except KeyError as missing:
             raise JobError(f"job document missing key {missing}") from None
+        except (TypeError, ValueError) as error:
+            raise JobError(f"malformed job document: {error}") from None
+        if not isinstance(job.job_id, str):
+            raise JobError(f"job_id must be a string, got {job.job_id!r}")
+        return job
+
+
+def read_job(path: Path) -> Job:
+    """The job document at ``path``; :class:`JobError` if it is malformed.
+
+    Spool files are input from outside the process: anything but a UTF-8
+    JSON object with the job keys, a string id and numeric counters is
+    malformed.  ``OSError`` (the file was moved away, or cannot be read)
+    propagates.
+    """
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:     # not UTF-8, or not JSON
+        raise JobError(f"unreadable job document {path.name}: "
+                       f"{error}") from None
+    return Job.from_dict(document)
 
 
 class JobStore:
@@ -213,10 +237,8 @@ class JobStore:
         for state in STATES:
             for path in (self.root / state).glob("*.json"):
                 try:
-                    document = json.loads(path.read_text())
-                    highest = max(highest,
-                                  int(document.get("submit_index", -1)))
-                except (json.JSONDecodeError, OSError, ValueError):
+                    highest = max(highest, read_job(path).submit_index)
+                except (JobError, OSError):
                     continue
         return highest + 1
 
@@ -240,8 +262,8 @@ class JobStore:
             except FileNotFoundError:
                 continue        # lost the race for this one
             try:
-                job = Job.from_dict(json.loads(running.read_text()))
-            except (json.JSONDecodeError, JobError) as error:
+                job = read_job(running)
+            except JobError as error:
                 failed = Job(job_id=path.stem, kind="?", payload={},
                              state=FAILED, error=f"unreadable job: {error}")
                 self._write(FAILED, failed)
@@ -339,8 +361,8 @@ class JobStore:
         actions: list[dict] = []
         for path in sorted((self.root / RUNNING).glob("*.json")):
             try:
-                job = Job.from_dict(json.loads(path.read_text()))
-            except (json.JSONDecodeError, JobError, OSError):
+                job = read_job(path)
+            except (JobError, OSError):
                 continue
             if job.lease_deadline is None:
                 # Claimed but never stamped: one lease period from first
@@ -402,9 +424,9 @@ class JobStore:
                     or self._path(RUNNING, job_id).exists():
                 continue        # a _dump temp file, or a live job
             try:
-                staged = Job.from_dict(json.loads(final.read_text()))
+                staged = read_job(final)
                 target = self._path(staged.state, job_id)
-                committed = Job.from_dict(json.loads(target.read_text()))
+                committed = read_job(target)
                 install = committed.attempts == int(attempts)
             except (OSError, ValueError, JobError):
                 install = False
@@ -425,8 +447,8 @@ class JobStore:
         for current in states:
             for path in sorted((self.root / current).glob("*.json")):
                 try:
-                    job = Job.from_dict(json.loads(path.read_text()))
-                except (json.JSONDecodeError, JobError):
+                    job = read_job(path)
+                except JobError:
                     continue
                 job.state = current   # the directory is the truth
                 found.append(job)
@@ -437,7 +459,7 @@ class JobStore:
         for state in STATES:
             path = self._path(state, job_id)
             if path.exists():
-                job = Job.from_dict(json.loads(path.read_text()))
+                job = read_job(path)
                 job.state = state
                 return job
         raise JobError(f"no job {job_id!r} under {self.root}")

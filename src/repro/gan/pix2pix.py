@@ -197,23 +197,38 @@ class Pix2Pix:
 
     @classmethod
     def load(cls, path) -> "Pix2Pix":
-        """Restore a model checkpointed with :meth:`save`."""
+        """Restore a model checkpointed with :meth:`save`.
+
+        Raises ``ValueError`` for a file that is not a Pix2Pix checkpoint
+        (a truncated or corrupt archive, a missing or malformed config,
+        missing or misshapen weights) and ``FileNotFoundError`` for a
+        missing one.
+        """
         import json
+        import zipfile
+        import zlib
         from pathlib import Path
 
         from repro.nn.serialize import validate_state_dict
 
         path = Path(path)
-        with np.load(path, allow_pickle=False) as archive:
-            if "config_json" not in archive.files:
-                raise ValueError(
-                    f"{path} is not a Pix2Pix checkpoint (no config_json)")
-            config = Pix2PixConfig(**json.loads(str(archive["config_json"])))
-            model = cls(config)
-            g_state = {key[2:]: archive[key] for key in archive.files
-                       if key.startswith("G.")}
-            d_state = {key[2:]: archive[key] for key in archive.files
-                       if key.startswith("D.")}
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                if "config_json" not in archive.files:
+                    raise ValueError("no config_json")
+                config = Pix2PixConfig(
+                    **json.loads(str(archive["config_json"])))
+                model = cls(config)
+                g_state = {key[2:]: archive[key] for key in archive.files
+                           if key.startswith("G.")}
+                d_state = {key[2:]: archive[key] for key in archive.files
+                           if key.startswith("D.")}
+        except FileNotFoundError:
+            raise
+        except (OSError, EOFError, TypeError, ValueError, zipfile.BadZipFile,
+                zlib.error) as error:
+            raise ValueError(f"{path} is not a Pix2Pix checkpoint "
+                             f"({error})") from error
         validate_state_dict(model.generator, g_state,
                             context=f"generator from {path}")
         validate_state_dict(model.discriminator, d_state,

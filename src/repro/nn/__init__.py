@@ -9,7 +9,6 @@ finite differences in the test suite.
 """
 
 from repro.nn.functional import (
-    blocked_matmul,
     col2im,
     col2im_bt,
     conv2d_output_size,
@@ -19,7 +18,6 @@ from repro.nn.functional import (
     leaky_relu,
     leaky_relu_,
     pad2d,
-    relu_,
     sigmoid,
 )
 from repro.nn.init import he_normal, normal_init, xavier_uniform
@@ -68,7 +66,6 @@ __all__ = [
     "Sigmoid",
     "Tanh",
     "Workspace",
-    "blocked_matmul",
     "col2im",
     "col2im_bt",
     "conv2d_output_size",
@@ -81,7 +78,6 @@ __all__ = [
     "load_state_dict",
     "normal_init",
     "pad2d",
-    "relu_",
     "save_state_dict",
     "sigmoid",
     "state_dict_mismatch",

@@ -206,42 +206,6 @@ def col2im_bt(
     return img[:, :, pad:pad + h, pad:pad + w]
 
 
-def blocked_matmul(a: np.ndarray, b: np.ndarray, block_rows: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` computed in fixed-size row blocks of ``a``.
-
-    BLAS selects its internal blocking from the full matrix shape, so the
-    rounding of row ``i`` of ``a @ b`` can change with the *total* number of
-    rows.  Processing ``a`` in blocks of ``block_rows`` pins the gemm shape
-    each row sees, making every block's result bitwise-identical no matter
-    how many blocks are stacked — this is what lets a batched inference pass
-    reproduce the batch-1 outputs exactly.  Operands are normalized to
-    C-contiguous first (BLAS also dispatches on memory layout, and e.g. a
-    batch-1 ``im2col`` can legally return a transposed view where batch-N
-    must copy) — but only when actually needed, which the arena-fed fast
-    path never is, so the common case is copy-free.
-    """
-    if not a.flags.c_contiguous:
-        a = np.ascontiguousarray(a)
-    if not b.flags.c_contiguous:
-        b = np.ascontiguousarray(b)
-    rows = a.shape[0]
-    if rows <= block_rows:
-        if out is None:
-            return a @ b
-        np.matmul(a, b, out=out)
-        return out
-    if rows % block_rows:
-        raise ValueError(
-            f"row count {rows} is not a multiple of block_rows={block_rows}")
-    if out is None:
-        out = np.empty((rows, b.shape[1]), dtype=np.result_type(a, b))
-    for start in range(0, rows, block_rows):
-        stop = start + block_rows
-        np.matmul(a[start:stop], b, out=out[start:stop])
-    return out
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, computed in the input dtype.
 
@@ -287,12 +251,3 @@ def leaky_relu_(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     if not 0.0 <= slope <= 1.0:
         raise ValueError(f"slope must be in [0, 1], got {slope}")
     return np.maximum(x, x * slope, out=x)
-
-
-def relu_(x: np.ndarray) -> np.ndarray:
-    """In-place ReLU: overwrites and returns ``x``, no temporaries.
-
-    Matches ``leaky_relu(x, 0.0)`` except on ``-inf`` inputs, where the
-    ``slope * x`` product is NaN; finite activations are bitwise equal.
-    """
-    return np.maximum(x, 0.0, out=x)

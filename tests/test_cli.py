@@ -83,6 +83,16 @@ class TestCommands:
 
 
 class TestServeCommand:
+    def test_serve_truncated_checkpoint_exits_with_error(self, tmp_path,
+                                                          tiny_model):
+        path = tmp_path / "model.npz"
+        tiny_model.save(path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--checkpoints", str(tmp_path), "--port", "0"])
+        message = str(exit_info.value.code)
+        assert message.startswith("error: ") and "model.npz" in message
+
     def test_serve_http_roundtrip(self, tmp_path):
         """`python -m repro serve` starts, answers, and shuts down cleanly."""
         import os

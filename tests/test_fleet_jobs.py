@@ -1,5 +1,6 @@
 """Job spool and worker pool: atomic claims, ordering, invariance."""
 
+import json
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from tests.conftest import make_dataset, make_tiny_model
 from repro.fleet import (
     ArtifactStore,
+    Job,
     JobError,
     JobStore,
     PoolError,
@@ -14,7 +16,26 @@ from repro.fleet import (
     executor,
     worker_loop,
 )
+from repro.fleet.jobs import STATES
 from repro.fleet.pool import EXECUTORS
+
+
+def _job_document(**changes) -> bytes:
+    document = Job(job_id="aaa-bad", kind="echo", payload={}).to_dict()
+    document.update(changes)
+    return json.dumps(document).encode()
+
+
+#: Spool documents that are not jobs.  "aaa-bad" sorts before every
+#: auto-generated id, so a claim meets it first.
+MALFORMED_DOCUMENTS = {
+    "not-an-object": b"[1, 2]",
+    "attempts-not-int": _job_document(attempts="x"),
+    "submit-index-null": _job_document(submit_index=None),
+    "not-utf8": b'{"job_id": "\xff\xfe"}',
+    "lease-not-number": _job_document(lease_deadline="x"),
+    "job-id-not-string": _job_document(job_id=[1]),
+}
 
 
 @pytest.fixture()
@@ -107,6 +128,33 @@ class TestSpool:
         assert store.stop_requested is True
         store.clear_stop()
         assert store.stop_requested is False
+
+
+@pytest.mark.parametrize("document", MALFORMED_DOCUMENTS.values(),
+                         ids=MALFORMED_DOCUMENTS.keys())
+class TestMalformedDocuments:
+    def test_claim_fails_it_and_claims_the_next_job(self, store, document):
+        queued = store.submit("echo", {"value": 1})
+        (store.root / "pending" / "aaa-bad.json").write_bytes(document)
+        job = store.claim("w0")
+        assert job.job_id == queued.job_id
+        failed = store.jobs("failed")
+        assert [job.job_id for job in failed] == ["aaa-bad"]
+        assert "unreadable job" in failed[0].error
+        assert store.reap() == []
+        assert len(store.jobs()) == 2
+        assert store.submit("echo", {}).state == "pending"
+
+    def test_every_state_skips_it(self, tmp_path, document):
+        for state in STATES:
+            store = JobStore(tmp_path / state)
+            queued = store.submit("echo", {"value": 1})
+            (store.root / state / "aaa-bad.json").write_bytes(document)
+            assert [job.job_id for job in store.jobs()] == [queued.job_id]
+            assert store.reap() == []
+            assert store.submit("echo", {}).submit_index == 1
+            with pytest.raises(JobError):
+                store.get("aaa-bad")
 
 
 class TestWorkerLoop:

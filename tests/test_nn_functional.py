@@ -15,7 +15,6 @@ from repro.nn import (
     leaky_relu,
     leaky_relu_,
     pad2d,
-    relu_,
     sigmoid,
 )
 
@@ -214,75 +213,3 @@ class TestActivations:
         result = leaky_relu_(worked, 0.2)
         assert result is worked
         np.testing.assert_array_equal(result, expected)
-
-    def test_relu_inplace_matches_out_of_place(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(64,)).astype(np.float32)
-        expected = leaky_relu(x, 0.0)
-        worked = x.copy()
-        result = relu_(worked)
-        assert result is worked
-        np.testing.assert_array_equal(result, expected)
-
-
-class TestBlockedMatmul:
-    def test_matches_plain_matmul(self):
-        from repro.nn import blocked_matmul
-
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(12, 7)).astype(np.float32)
-        b = rng.normal(size=(7, 5)).astype(np.float32)
-        np.testing.assert_allclose(blocked_matmul(a, b, 4), a @ b,
-                                   atol=1e-6)
-
-    def test_blocks_are_stack_invariant(self):
-        """Each block's rows are bitwise-identical however many are stacked."""
-        from repro.nn import blocked_matmul
-
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(64, 48)).astype(np.float32)
-        b = rng.normal(size=(48, 3)).astype(np.float32)
-        stacked = blocked_matmul(np.concatenate([a] * 5), b, 64)
-        single = blocked_matmul(a, b, 64)
-        for chunk in range(5):
-            assert np.array_equal(stacked[chunk * 64:(chunk + 1) * 64],
-                                  single)
-
-    def test_normalizes_layout(self):
-        """Transposed views and contiguous copies produce identical bits."""
-        from repro.nn import blocked_matmul
-
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(48, 64)).astype(np.float32)
-        b = rng.normal(size=(48, 3)).astype(np.float32)
-        view = a.T                       # non-contiguous
-        copy = np.ascontiguousarray(view)
-        assert np.array_equal(blocked_matmul(view, b, 64),
-                              blocked_matmul(copy, b, 64))
-
-    def test_rejects_ragged_blocks(self):
-        from repro.nn import blocked_matmul
-
-        with pytest.raises(ValueError, match="block_rows"):
-            blocked_matmul(np.zeros((10, 4)), np.zeros((4, 2)), 4)
-
-    def test_out_buffer_matches_allocating_path(self):
-        from repro.nn import blocked_matmul
-
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(64, 16)).astype(np.float32)
-        b = rng.normal(size=(16, 5)).astype(np.float32)
-        expected = blocked_matmul(a, b, 16)
-        out = np.empty_like(expected)
-        got = blocked_matmul(a, b, 16, out=out)
-        assert got is out
-        np.testing.assert_array_equal(got, expected)
-
-    def test_contiguous_operands_skip_normalization(self):
-        from repro.nn import blocked_matmul
-
-        a = np.ones((8, 4), dtype=np.float32)
-        b = np.ones((4, 2), dtype=np.float32)
-        # Already C-contiguous: the result must be produced without the
-        # (copying) normalization path ever changing values.
-        np.testing.assert_array_equal(blocked_matmul(a, b, 4), a @ b)

@@ -1,5 +1,7 @@
 """Checkpoint serialization: round-trips and mismatch diagnostics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,45 @@ class TestRngStateRoundTrip:
             rng_state_from_json(other, state)
 
 
+def corrupt_checkpoint(path, case: str) -> None:
+    """Damage a saved Pix2Pix checkpoint in one of four ways."""
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        return
+    with np.load(path) as archive:
+        state = {name: archive[name] for name in archive.files}
+    config = json.loads(str(state["config_json"]))
+    config = {"config-list": [config],
+              "config-unknown-key": {**config, "bogus": 1},
+              "config-string-image-size": {**config, "image_size": "16"},
+              }[case]
+    state["config_json"] = np.array(json.dumps(config))
+    np.savez(path, **state)
+
+
+MALFORMED_CHECKPOINTS = ("truncated", "config-list", "config-unknown-key",
+                         "config-string-image-size")
+
+
 class TestPix2PixCheckpointValidation:
+    @pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+    def test_load_rejects_malformed_checkpoint(self, tmp_path, tiny_model,
+                                               case):
+        from repro.gan import Pix2Pix
+
+        path = tmp_path / "model.npz"
+        tiny_model.save(path)
+        corrupt_checkpoint(path, case)
+        with pytest.raises(ValueError,
+                           match="model.npz is not a Pix2Pix checkpoint"):
+            Pix2Pix.load(path)
+
+    def test_load_missing_file_is_not_found(self, tmp_path):
+        from repro.gan import Pix2Pix
+
+        with pytest.raises(FileNotFoundError):
+            Pix2Pix.load(tmp_path / "nowhere.npz")
+
     def test_load_rejects_non_checkpoint(self, tmp_path):
         from repro.gan import Pix2Pix
 
