@@ -133,8 +133,9 @@ class CheckpointForecaster:
         """Deterministic (noise-free) forecasts as (N, H, W, 3) in [0, 1].
 
         Runs the generator's fused ``forward_eval`` path (no gradient
-        caches, workspace-arena scratch) — bitwise-equal to an eval-mode
-        ``forward``, so reports stay byte-stable across the two routes.
+        caches, workspace-arena scratch), bitwise the per-sample
+        ``Pix2Pix.forecast`` and within ``atol=1e-6`` of the tests' float64
+        reference forward.
         """
         return self.model.forecast(x, sample_noise=False)
 

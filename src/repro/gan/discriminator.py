@@ -59,15 +59,14 @@ class PatchDiscriminator(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map (n, in_channels, s, s) to a patch of logits.
 
-        With a workspace attached the returned logits view into the final
-        conv's arena buffer: they are copied out so callers may hold them
-        across passes (the patch is tiny, the copy is noise).
+        The final conv's output is an arena view: the logits are copied
+        out so callers may hold them across passes (the patch is tiny, the
+        copy is noise).
         """
         if x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected {self.in_channels} channels, got {x.shape[1]}")
-        out = self.net.forward(x)
-        return out.copy() if self._ws is not None else out
+        return self.net.forward(x).copy()
 
     def forward_eval(self, x: np.ndarray) -> np.ndarray:
         """Fused inference logits (no gradient caches), caller-owned."""

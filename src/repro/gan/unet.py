@@ -48,8 +48,8 @@ class UNetGenerator(Module):
     """Encoder-decoder generator G(x, z) with optional skip connections.
 
     The noise ``z`` enters through dropout in the decoder, as in pix2pix;
-    running the generator in training mode at inference samples a different
-    z per call.
+    running the training ``forward`` at inference samples a different z
+    per call, and ``forward_eval`` is the deterministic inference pass.
     """
 
     def __init__(self, in_channels: int = 4, out_channels: int = 3,
@@ -155,7 +155,11 @@ class UNetGenerator(Module):
         return d
 
     def forward_eval(self, x: np.ndarray) -> np.ndarray:
-        """Fused inference pass (bitwise-equal to an eval-mode ``forward``).
+        """Fused inference pass: running-stat BatchNorm, no dropout.
+
+        BatchNorm folding reassociates float ops, so the result agrees
+        with a plain float64 forward within a tolerance the tests assert
+        (``atol=1e-6`` on the [0, 1] forecast images), not bitwise.
 
         Every encoder/decoder block runs its conv + norm + activation
         through arena scratch with no gradient caches; skip activations

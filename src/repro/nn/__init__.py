@@ -2,9 +2,10 @@
 
 This package stands in for TensorFlow in the original work.  It provides
 exactly the operator set the paper's cGAN needs — strided convolutions,
-transposed convolutions, batch normalization, LeakyReLU/ReLU/tanh/sigmoid,
+transposed convolutions, batch normalization, LeakyReLU/ReLU/tanh,
 dropout, Adam, and the BCE/L1 losses — implemented with explicit
-forward/backward passes over im2col-packed arrays and verified against
+forward/backward passes over im2col-packed arrays in a workspace arena,
+a fused ``forward_eval`` inference pass, and derivatives verified against
 finite differences in the test suite.
 """
 
@@ -20,24 +21,22 @@ from repro.nn.functional import (
     pad2d,
     sigmoid,
 )
-from repro.nn.init import he_normal, normal_init, xavier_uniform
+from repro.nn.init import normal_init
 from repro.nn.layers import (
     BatchNorm2d,
     Concat,
     Conv2d,
     ConvTranspose2d,
     Dropout,
-    Identity,
     LeakyReLU,
     Module,
     Parameter,
     ReLU,
     Sequential,
-    Sigmoid,
     Tanh,
 )
-from repro.nn.losses import BCEWithLogitsLoss, L1Loss, MSELoss
-from repro.nn.optim import SGD, Adam
+from repro.nn.losses import BCEWithLogitsLoss, L1Loss
+from repro.nn.optim import Adam
 from repro.nn.serialize import (
     load_state_dict,
     save_state_dict,
@@ -54,23 +53,18 @@ __all__ = [
     "Conv2d",
     "ConvTranspose2d",
     "Dropout",
-    "Identity",
     "L1Loss",
     "LeakyReLU",
-    "MSELoss",
     "Module",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sequential",
-    "Sigmoid",
     "Tanh",
     "Workspace",
     "col2im",
     "col2im_bt",
     "conv2d_output_size",
     "conv_transpose2d_output_size",
-    "he_normal",
     "im2col",
     "im2col_view",
     "leaky_relu",
@@ -82,5 +76,4 @@ __all__ = [
     "sigmoid",
     "state_dict_mismatch",
     "validate_state_dict",
-    "xavier_uniform",
 ]

@@ -1,15 +1,17 @@
 """Low-level tensor operations: im2col packing and activation functions.
 
 All image tensors use NCHW layout (batch, channels, height, width).  The
-convolution layers in :mod:`repro.nn.layers` are thin wrappers over
-:func:`im2col` / :func:`col2im`; keeping the packing logic here makes it
+convolution layers in :mod:`repro.nn.layers` gather their windows through
+:func:`im2col_view` and scatter their gradients through cached view plans
+equivalent to :func:`col2im_bt`; keeping the packing logic here makes it
 independently testable (the test suite checks that ``col2im`` is the exact
-adjoint of ``im2col``, which is what makes the conv gradients correct).
+adjoint of ``im2col`` and that the layers' scatter plans equal
+``col2im_bt``, which is what makes the conv gradients correct).
 
 Every heavy helper takes an optional ``out=`` destination so the layers can
 route their temporaries through a :class:`repro.nn.workspace.Workspace`
-arena instead of allocating per call; with ``out=None`` each call allocates
-fresh arrays and computes bitwise the same values.
+arena; with ``out=None`` each call allocates fresh arrays and computes
+bitwise the same values.
 """
 
 from __future__ import annotations
@@ -88,9 +90,7 @@ def im2col_view(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
-           out: np.ndarray | None = None,
-           pad_out: np.ndarray | None = None,
-           zero_border: bool = True) -> np.ndarray:
+           out: np.ndarray | None = None) -> np.ndarray:
     """Unfold sliding windows of ``x`` into rows.
 
     Parameters
@@ -102,11 +102,6 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
     out:
         Optional destination of shape ``(n * out_h * out_w,
         c * kernel * kernel)``; allocated when omitted.
-    pad_out:
-        Optional scratch for the padded input (ignored when ``pad == 0``).
-    zero_border:
-        Forwarded to :func:`pad2d`; pass ``False`` only when ``pad_out``'s
-        border is known to still be zero from a previous call.
 
     Returns
     -------
@@ -120,7 +115,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
     out_w = conv2d_output_size(w, kernel, stride, pad)
 
     if pad > 0:
-        x = pad2d(x, pad, out=pad_out, zero_border=zero_border)
+        x = pad2d(x, pad)
 
     view = im2col_view(x, kernel, stride)
     if out is None:

@@ -1,7 +1,6 @@
-"""Weight initializers.
+"""Weight initialization.
 
-pix2pix initializes all conv weights from N(0, 0.02); Xavier and He
-initializers are provided for the auxiliary layers and for tests.
+pix2pix initializes all conv weights from N(0, 0.02).
 """
 
 from __future__ import annotations
@@ -12,19 +11,4 @@ import numpy as np
 def normal_init(shape: tuple[int, ...], rng: np.random.Generator,
                 std: float = 0.02) -> np.ndarray:
     """Gaussian init, the pix2pix default (std 0.02)."""
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot uniform init; fan counts follow the conv weight layout."""
-    fan_in = int(np.prod(shape[1:]))
-    fan_out = shape[0] * int(np.prod(shape[2:])) if len(shape) > 2 else shape[0]
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He init for ReLU-family networks."""
-    fan_in = int(np.prod(shape[1:]))
-    std = float(np.sqrt(2.0 / fan_in))
     return rng.normal(0.0, std, size=shape).astype(np.float32)

@@ -7,25 +7,25 @@ style the paper's TensorFlow implementation relies on, without an autodiff
 graph — which keeps each derivative small enough to verify by finite
 differences (see ``tests/test_nn_gradcheck.py``).
 
-Two hot-path mechanisms overlay the basic scheme:
+Every module has two passes and one memory path:
 
-* **Workspace arena** — a layer with a :class:`~repro.nn.workspace.Workspace`
-  attached (see :meth:`Module.attach_workspace`) routes its large
+* **Workspace arena** — every module owns a
+  :class:`~repro.nn.workspace.Workspace` (a model shares one across its
+  tree, see :meth:`Module.attach_workspace`) and routes its large
   temporaries (im2col matrices, gemm outputs, scatter images, activation
   masks) through per-layer arena slots instead of allocating per call.
-  Results are bitwise identical to the detached path; only the memory
-  traffic changes.  The arena contract: a layer's outputs and caches stay
-  valid until that layer runs the same pass again, which the sequential
-  train step and the single-threaded serving worker satisfy by
-  construction.
-* **Fused eval path** — :meth:`Module.forward_eval` is an inference-only
-  forward: no gradient caches written, every intermediate in arena
-  scratch, and conv + norm (+ activation) folded into single steps with
-  the normalization collapsed into cached gemm weights.  Convolutions run
-  their gemms per sample (stacked ``np.matmul``), so every forward —
-  training included — is batch-invariant: batched forecasts are bitwise
-  the batch-1 forecasts, which the serving engine's micro-batching and
-  the golden eval report rely on.
+  The arena contract: a layer's outputs and caches stay valid until that
+  layer runs the same pass again, which the sequential train step and the
+  single-threaded serving worker satisfy by construction.
+* **Training and inference passes** — ``forward`` is the training pass
+  (batch statistics, dropout, gradient caches).  :meth:`Module.forward_eval`
+  is the only inference pass: running statistics, no dropout, no gradient
+  caches, every intermediate in arena scratch, and conv + norm
+  (+ activation) folded into single steps with the normalization
+  collapsed into cached gemm weights.  Convolutions run their gemms per
+  sample (stacked ``np.matmul``), so both passes are batch-invariant:
+  batched forecasts are bitwise the batch-1 forecasts, which the serving
+  engine's micro-batching and the golden eval report rely on.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn.functional import (
-    col2im_bt,
     conv2d_output_size,
     conv_transpose2d_output_size,
     im2col,
@@ -69,8 +68,7 @@ class Module:
     """Base class: tracks sub-modules and parameters via attribute scan."""
 
     def __init__(self):
-        self.training = True
-        self._ws: Workspace | None = None
+        self._ws = Workspace()
         self._ws_views: dict[tuple, np.ndarray] = {}
         self._plans: dict[tuple, tuple] = {}
         self._zeroed_pads: dict[str, int] = {}
@@ -121,16 +119,7 @@ class Module:
     def num_parameters(self) -> int:
         return int(sum(param.data.size for param in self.parameters()))
 
-    # -- mode / gradient management ----------------------------------------
-
-    def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for child in self.children():
-            child.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
+    # -- gradient management -----------------------------------------------
 
     def zero_grad(self) -> None:
         for param in self.parameters():
@@ -138,11 +127,12 @@ class Module:
 
     # -- workspace ----------------------------------------------------------
 
-    def attach_workspace(self, workspace: Workspace | None) -> "Module":
-        """Attach (or with ``None`` detach) a scratch arena, recursively.
+    def attach_workspace(self, workspace: Workspace) -> "Module":
+        """Share one scratch arena across this module's tree.
 
-        Attached modules reuse per-layer arena buffers on the hot path;
-        detached modules allocate per call.  Both compute identical bits.
+        Every module is built with an arena of its own; a model attaches
+        one per tree so its byte accounting and parameter generation are
+        one counter each.
         """
         self._ws = workspace
         self._ws_views = {}
@@ -154,29 +144,26 @@ class Module:
         return self
 
     @property
-    def workspace(self) -> Workspace | None:
+    def workspace(self) -> Workspace:
         return self._ws
 
     def _buf(self, name: str, shape: tuple[int, ...],
              dtype=np.float32) -> np.ndarray:
-        """Arena scratch when attached, a fresh allocation otherwise.
+        """Arena scratch for slot ``name``.
 
-        Acquired views are memoized per (name, shape) on the layer — the
-        steady-state cost is one dict hit.  A slot's dtype is fixed by its
-        name, so dtype is not part of the key.  The memo (and the view
+        Acquired views are memoized per (name, shape, dtype) on the layer
+        — the steady-state cost is one dict hit.  The memo (and the view
         plans built on top of it) is dropped whenever the workspace's
         backing epoch moves, so a slot reallocation never leaves stale
         views pinning orphaned buffers.
         """
         ws = self._ws
-        if ws is None:
-            return np.empty(shape, dtype=dtype)
         if self._ws_epoch != ws.epoch:
             self._ws_views = {}
             self._plans = {}
             self._zeroed_pads = {}
             self._ws_epoch = ws.epoch
-        key = (name, shape)
+        key = (name, shape, dtype)
         view = self._ws_views.get(key)
         if view is None:
             view = ws.buffer(self, name, shape, dtype)
@@ -202,7 +189,7 @@ class Module:
         return col
 
     def _pad_scratch(self, name: str, shape: tuple[int, ...],
-                     dtype) -> tuple[np.ndarray | None, bool]:
+                     dtype) -> tuple[np.ndarray, bool]:
         """Padding scratch plus whether its border still needs zeroing.
 
         The conv padding buffer's border is written only by the zero
@@ -212,8 +199,6 @@ class Module:
         this view's border).  Tracking the last-used view id per slot
         makes the skip exact.
         """
-        if self._ws is None:
-            return None, True
         buf = self._buf(name, shape, dtype)
         marker = id(buf)
         zero_border = self._zeroed_pads.get(name) != marker
@@ -223,7 +208,7 @@ class Module:
     def _scatter_bt(self, col_bt: np.ndarray,
                     x_shape: tuple[int, int, int, int], kernel: int,
                     stride: int, pad: int, name: str) -> np.ndarray:
-        """:func:`col2im_bt` through a cached view plan over arena buffers.
+        """:func:`~repro.nn.functional.col2im_bt` through a cached view plan.
 
         Two optimizations over the plain scatter, both value-preserving:
 
@@ -237,11 +222,8 @@ class Module:
           planes turns all kernel^2 accumulations into contiguous-row
           adds, leaving only ``s^2`` strided interleave copies at the
           end (and a contiguous result).  Per-element accumulation order
-          matches :func:`col2im_bt` exactly, so the result is bitwise
-          equal.
+          matches ``col2im_bt`` exactly, so the result is bitwise equal.
         """
-        if self._ws is None:
-            return col2im_bt(col_bt, x_shape, kernel, stride, pad)
         key = (id(col_bt), x_shape, kernel, stride, pad, name)
         plan = self._plans.get(key)
         if plan is None:
@@ -314,8 +296,10 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        if self._ws is not None:
-            self._ws.generation += 1   # invalidate fused-weight caches
+        # Invalidate fused-weight caches.  A bare tree's modules each own
+        # an arena, so bump every module's, not just ours.
+        for _, module in self.named_modules():
+            module._ws.generation += 1
         own = dict(self.named_parameters())
         buffers = dict(self._named_buffers())
         for name, value in state.items():
@@ -372,22 +356,15 @@ class Module:
         raise NotImplementedError
 
     def forward_eval(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward: no gradient caches, arena scratch.
+        """Inference pass: running statistics, no dropout, no gradient
+        caches, arena scratch.
 
-        The default runs a plain eval-mode ``forward`` (restoring the
-        training flag), so any module supports it; the hot-path layers
-        override it with fused implementations.  Outputs must stay valid
-        only until the module's next pass, except where a subclass
-        documents otherwise (``Tanh`` returns a caller-owned array, which
-        is what makes generator outputs safe to hold).
+        Outputs stay valid only until the module's next inference pass,
+        except where a subclass documents otherwise (``Tanh`` returns a
+        caller-owned array, which is what makes generator outputs safe to
+        hold).
         """
-        if not self.training:
-            return self.forward(x)
-        self.train(False)
-        try:
-            return self.forward(x)
-        finally:
-            self.train(True)
+        raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -404,19 +381,17 @@ def _folded_bn_params(conv: Module, bn: "BatchNorm2d",
     the layer's own weight axis.  Cached per workspace generation
     (training steps and state loads bump it).
     """
-    gen = conv._ws.generation if conv._ws is not None else None
+    gen = conv._ws.generation
     fold = conv._fold
-    if fold is not None and gen is not None and fold[0] == gen \
-            and fold[1] == id(bn):
+    if fold is not None and fold[0] == gen and fold[1] == id(bn):
         return fold[2], fold[3]
     scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
     w_mat = build_weights(scale)
     bias = conv.bias.data if conv.bias is not None else 0.0
     b_vec = (bias - bn.running_mean) * scale + bn.beta.data
-    if gen is not None:
-        # id(bn), not bn itself: a Module inside a tuple attribute
-        # would be picked up by the parameter/child attribute scan.
-        conv._fold = (gen, id(bn), w_mat, b_vec)
+    # id(bn), not bn itself: a Module inside a tuple attribute would be
+    # picked up by the parameter/child attribute scan.
+    conv._fold = (gen, id(bn), w_mat, b_vec)
     return w_mat, b_vec
 
 
@@ -458,7 +433,7 @@ class Conv2d(Module):
         self._fold: tuple | None = None
 
     def _folded_params(self, bn: "BatchNorm2d") -> tuple[np.ndarray, np.ndarray]:
-        """Weights/bias with the following BatchNorm folded in (eval only)."""
+        """Weights/bias with the following BatchNorm folded in."""
         return _folded_bn_params(
             self, bn,
             lambda scale: self.weight.data.reshape(
@@ -480,7 +455,7 @@ class Conv2d(Module):
         out_h = conv2d_output_size(h, self.kernel, self.stride, self.pad)
         out_w = conv2d_output_size(w, self.kernel, self.stride, self.pad)
         hw = out_h * out_w
-        if act is not None and self.pad > 0 and self._ws is not None:
+        if act is not None and self.pad > 0:
             pad = self.pad
             pad_out, zero_border = self._pad_scratch(
                 "epad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype)
@@ -521,7 +496,7 @@ class Conv2d(Module):
         col_name, pad_name = ("ecol", "epad") if eval_mode else ("col", "pad")
         col = self._buf(col_name, (n * out_h * out_w,
                                    c * self.kernel * self.kernel), x.dtype)
-        if self.pad > 0 and self._ws is not None:
+        if self.pad > 0:
             pad_out, zero_border = self._pad_scratch(
                 pad_name, (n, c, x.shape[2] + 2 * self.pad,
                            x.shape[3] + 2 * self.pad), x.dtype)
@@ -690,7 +665,7 @@ class ConvTranspose2d(Module):
         hw = h * w
         okk = grad.shape[1] * self.kernel * self.kernel
         grad_col = self._buf("gcol", (n * hw, okk), grad.dtype)
-        if self.pad > 0 and self._ws is not None:
+        if self.pad > 0:
             pad_out, zero_border = self._pad_scratch(
                 "gpad", (n, grad.shape[1], grad.shape[2] + 2 * self.pad,
                          grad.shape[3] + 2 * self.pad), grad.dtype)
@@ -723,7 +698,9 @@ class BatchNorm2d(Module):
     """Batch normalization over (N, H, W) per channel.
 
     With the paper's batch size of 1 this behaves like instance norm, which is
-    the standard pix2pix regime.  Running statistics drive eval mode.
+    the standard pix2pix regime.  ``forward`` normalizes with batch
+    statistics and updates the running ones; ``forward_eval`` uses the
+    running statistics.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -740,28 +717,22 @@ class BatchNorm2d(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {x.shape[1]}")
-        if self.training:
-            count = x.shape[0] * x.shape[2] * x.shape[3]
-            mean = np.add.reduce(x, axis=(0, 2, 3))
-            mean /= count
-            # Reuse the centered activations for both the variance and
-            # x_hat: same subtraction and reduction np.var performs, one
-            # pass fewer over the data (bitwise-equal result).
-            diff = np.subtract(x, mean[None, :, None, None],
-                               out=self._buf("xhat", x.shape, x.dtype))
-            sq = np.multiply(diff, diff, out=self._buf("sq", x.shape, x.dtype))
-            var = np.add.reduce(sq, axis=(0, 2, 3))
-            var /= count
-            self.running_mean *= 1 - self.momentum
-            self.running_mean += self.momentum * mean
-            unbiased = var * count / max(count - 1, 1)
-            self.running_var *= 1 - self.momentum
-            self.running_var += self.momentum * unbiased
-        else:
-            mean = self.running_mean
-            var = self.running_var
-            diff = np.subtract(x, mean[None, :, None, None],
-                               out=self._buf("xhat", x.shape, x.dtype))
+        count = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = np.add.reduce(x, axis=(0, 2, 3))
+        mean /= count
+        # Reuse the centered activations for both the variance and x_hat:
+        # same subtraction and reduction np.var performs, one pass fewer
+        # over the data (bitwise-equal result).
+        diff = np.subtract(x, mean[None, :, None, None],
+                           out=self._buf("xhat", x.shape, x.dtype))
+        sq = np.multiply(diff, diff, out=self._buf("sq", x.shape, x.dtype))
+        var = np.add.reduce(sq, axis=(0, 2, 3))
+        var /= count
+        self.running_mean *= 1 - self.momentum
+        self.running_mean += self.momentum * mean
+        unbiased = var * count / max(count - 1, 1)
+        self.running_var *= 1 - self.momentum
+        self.running_var += self.momentum * unbiased
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = np.multiply(diff, inv_std[None, :, None, None], out=diff)
         out = np.multiply(x_hat, self.gamma.data[None, :, None, None],
@@ -785,8 +756,6 @@ class BatchNorm2d(Module):
         x_hat, inv_std = self._cache
         self.gamma.grad += (grad * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad.sum(axis=(0, 2, 3))
-        if not self.training:
-            return grad * (self.gamma.data * inv_std)[None, :, None, None]
         count = grad.shape[0] * grad.shape[2] * grad.shape[3]
         g = np.multiply(grad, self.gamma.data[None, :, None, None],
                         out=self._buf("g", grad.shape, grad.dtype))
@@ -891,37 +860,13 @@ class Tanh(Module):
         return buf
 
 
-class Sigmoid(Module):
-    """Logistic activation (used only when a probability output is needed;
-    the discriminator trains on logits through BCEWithLogitsLoss)."""
-
-    def __init__(self):
-        super().__init__()
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        from repro.nn.functional import sigmoid
-
-        self._out = sigmoid(x)
-        return self._out
-
-    def forward_eval(self, x: np.ndarray) -> np.ndarray:
-        from repro.nn.functional import sigmoid
-
-        return sigmoid(x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad * self._out * (1.0 - self._out)
-
-
 class Dropout(Module):
     """Inverted dropout.
 
-    pix2pix injects its noise ``z`` purely through dropout in the decoder; the
-    generator can therefore be run with dropout active at inference to sample
-    diverse outputs (``training=True``).
+    pix2pix injects its noise ``z`` purely through dropout in the decoder;
+    running the generator's training ``forward`` at inference samples
+    diverse outputs (``Pix2Pix.generate(sample_noise=True)``).
+    ``forward_eval`` is the identity.
     """
 
     def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None):
@@ -933,7 +878,7 @@ class Dropout(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
+        if self.p == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.p
@@ -951,19 +896,6 @@ class Dropout(Module):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-
-class Identity(Module):
-    """No-op layer, useful for optional slots in block builders."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def forward_eval(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad
 
 
 class Sequential(Module):

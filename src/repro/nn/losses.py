@@ -81,18 +81,3 @@ class L1Loss(Loss):
         grad /= grad.size
         return grad
 
-
-class MSELoss(Loss):
-    """Mean squared error (provided for L2-objective ablations)."""
-
-    def __init__(self):
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        self._diff = pred - target
-        return float((self._diff ** 2).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size

@@ -1,7 +1,7 @@
-"""Optimizers.
+"""The optimizer.
 
 The paper trains both networks with Adam at lr=2e-4, beta1=0.5, beta2=0.999,
-eps=1e-8 — the pix2pix defaults.  SGD is included for tests and ablations.
+eps=1e-8 — the pix2pix defaults.
 """
 
 from __future__ import annotations
@@ -11,61 +11,7 @@ import numpy as np
 from repro.nn.layers import Parameter
 
 
-class Optimizer:
-    """Base optimizer over an explicit parameter list."""
-
-    def __init__(self, params: list[Parameter], lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params = list(params)
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    # -- persistent state (see repro.nn.serialize) ---------------------------
-
-    def state_arrays(self) -> dict:
-        """The optimizer's persistent state, by name.
-
-        Values are either live arrays / lists of live per-parameter arrays
-        (written in place on restore) or scalars (restored through
-        :meth:`set_state_scalar`).  Stateless optimizers return ``{}``.
-        """
-        return {}
-
-    def set_state_scalar(self, name: str, value) -> None:
-        """Restore one scalar entry from :meth:`state_arrays`."""
-        raise KeyError(f"optimizer has no scalar state {name!r}")
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, vel in zip(self.params, self._velocity):
-            if self.momentum > 0.0:
-                vel *= self.momentum
-                vel -= self.lr * param.grad
-                param.data += vel
-            else:
-                param.data -= self.lr * param.grad
-
-    def state_arrays(self) -> dict:
-        return {"velocity": self._velocity}
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with the paper's constants as defaults.
 
     The optimizer *flattens* its parameters: on construction every
@@ -76,74 +22,62 @@ class Adam(Optimizer):
     step.  The update itself keeps the textbook evaluation order
     element-wise, so parameter trajectories are bitwise-identical to the
     per-parameter form.  In-place reads/writes through the parameters
-    (``load_state_dict``, ``zero_grad``, other optimizers over the same
-    list) keep working — they see the same memory.  Parameters whose
-    dtypes differ fall back to unflattened per-parameter updates.
+    (``load_state_dict``, ``zero_grad``) keep working — they see the same
+    memory.  Every parameter must share one dtype.
     """
 
     def __init__(self, params: list[Parameter], lr: float = 2e-4,
                  beta1: float = 0.5, beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.params = list(params)
+        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self._step = 0
         dtypes = {p.data.dtype for p in self.params}
-        if len(dtypes) == 1:
-            dtype = dtypes.pop()
-            total = sum(p.data.size for p in self.params)
-            data = np.empty(total, dtype=dtype)
-            grad = np.empty(total, dtype=dtype)
-            offset = 0
-            for p in self.params:
-                stop = offset + p.data.size
-                data[offset:stop] = p.data.ravel()
-                grad[offset:stop] = p.grad.ravel()
-                p.data = data[offset:stop].reshape(p.data.shape)
-                p.grad = grad[offset:stop].reshape(p.grad.shape)
-                offset = stop
-            self._flat: tuple[np.ndarray, ...] | None = (
-                data, grad, np.zeros(total, dtype=dtype),
-                np.zeros(total, dtype=dtype), np.empty(total, dtype=dtype),
-                np.empty(total, dtype=dtype))
-        else:
-            self._flat = None
-            self._m = [np.zeros_like(p.data) for p in self.params]
-            self._v = [np.zeros_like(p.data) for p in self.params]
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs one parameter dtype, got "
+                             f"{sorted(str(dtype) for dtype in dtypes)}")
+        dtype = dtypes.pop() if dtypes else np.float32
+        total = sum(p.data.size for p in self.params)
+        data = np.empty(total, dtype=dtype)
+        grad = np.empty(total, dtype=dtype)
+        offset = 0
+        for p in self.params:
+            stop = offset + p.data.size
+            data[offset:stop] = p.data.ravel()
+            grad[offset:stop] = p.grad.ravel()
+            p.data = data[offset:stop].reshape(p.data.shape)
+            p.grad = grad[offset:stop].reshape(p.grad.shape)
+            offset = stop
+        self._flat = (data, grad, np.zeros(total, dtype=dtype),
+                      np.zeros(total, dtype=dtype),
+                      np.empty(total, dtype=dtype),
+                      np.empty(total, dtype=dtype))
 
     def zero_grad(self) -> None:
-        if self._flat is not None:
-            self._flat[1].fill(0.0)
-        else:
-            super().zero_grad()
+        self._flat[1].fill(0.0)
 
     def step(self) -> None:
         self._step += 1
-        if self._flat is not None:
-            data, grad, m, v, s1, s2 = self._flat
-            self._update(data, grad, m, v, s1, s2)
-            return
-        for param, m, v in zip(self.params, self._m, self._v):
-            self._update(param.data, param.grad, m, v,
-                         np.empty_like(param.data), np.empty_like(param.data))
+        self._update(*self._flat)
+
+    # -- persistent state (see repro.nn.serialize) ---------------------------
 
     def state_arrays(self) -> dict:
-        """Step count plus moment buffers (flat or per-parameter).
-
-        In flat mode the moment arrays are already concatenated in
-        parameter order, so both modes serialize to the same bytes for
-        the same trajectory.
-        """
-        if self._flat is not None:
-            moments: dict = {"exp_avg": self._flat[2],
-                             "exp_avg_sq": self._flat[3]}
-        else:
-            moments = {"exp_avg": self._m, "exp_avg_sq": self._v}
-        return {"step": self._step, **moments}
+        """The persistent state, by name: the step count (a scalar,
+        restored through :meth:`set_state_scalar`) and the live flat
+        moment arrays (written in place on restore), concatenated in
+        parameter order."""
+        return {"step": self._step, "exp_avg": self._flat[2],
+                "exp_avg_sq": self._flat[3]}
 
     def set_state_scalar(self, name: str, value) -> None:
+        """Restore one scalar entry from :meth:`state_arrays`."""
         if name != "step":
-            super().set_state_scalar(name, value)
+            raise KeyError(f"optimizer has no scalar state {name!r}")
         self._step = int(value)
 
     def _update(self, data, grad, m, v, s1, s2) -> None:

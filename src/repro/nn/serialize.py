@@ -5,16 +5,16 @@ Every archive written here carries a versioned header (the
 (``format``) and its ``version``.  Loading an archive whose format or
 version does not match raises :class:`CheckpointError` with a message
 naming both sides, instead of failing deep inside ``load_state_dict``
-on the first odd key.  Archives written before the header existed load
-as version 0 of the expected format.
+on the first odd key; so does an archive that cannot be read at all
+(truncated, corrupt, or with a header that is not a JSON object).
+Archives written before the header existed load as version 0 of the
+expected format.
 
 Beyond module weights, this module round-trips the pieces of training
 state that exact resume needs:
 
 * :func:`optimizer_state_dict` / :func:`load_optimizer_state_dict` —
-  Adam moments (+ step count) and SGD momentum, flattened in parameter
-  order so the layout survives the optimizer's internal flat-buffer
-  packing.
+  Adam's step count and moments, flat in parameter order.
 * :func:`rng_state_to_json` / :func:`rng_state_from_json` — a numpy
   ``Generator``'s bit-generator state as a JSON string, so dropout
   noise streams resume mid-sequence.
@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import json
 import os
+import tokenize
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,15 @@ HEADER_KEY = "__checkpoint__"
 #: Schema name and current version for plain module state dicts.
 MODULE_STATE_FORMAT = "repro.module-state"
 MODULE_STATE_VERSION = 1
+
+
+#: What ``np.load`` and reading its members raise for a damaged archive
+#: (besides ``FileNotFoundError``, which callers keep): a bad zip
+#: structure or CRC, a corrupt deflate stream, an encrypted-flag or
+#: unknown-compression entry (``RuntimeError``, ``NotImplementedError``),
+#: or a garbled ``.npy`` header (``ValueError``, ``tokenize.TokenError``).
+ARCHIVE_ERRORS = (OSError, EOFError, RuntimeError, ValueError,
+                  tokenize.TokenError, zipfile.BadZipFile, zlib.error)
 
 
 class CheckpointError(ValueError):
@@ -75,17 +87,29 @@ def read_npz(path: str | Path, expect_format: str,
     """Load ``(arrays, header)``, validating the schema header.
 
     A missing header is treated as ``version 0`` of ``expect_format``
-    (pre-header archives); a different format name or a version newer
-    than ``max_version`` raises :class:`CheckpointError`.
+    (pre-header archives).  An unreadable archive, a header that is not
+    a JSON object, a different format name or a version newer than
+    ``max_version`` raise :class:`CheckpointError` naming the file; a
+    missing file raises ``FileNotFoundError``.
     """
     path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        names = [name for name in archive.files if name != HEADER_KEY]
-        if HEADER_KEY in archive.files:
-            header = json.loads(str(archive[HEADER_KEY]))
-        else:
-            header = make_header(expect_format, 0)
-        arrays = {name: archive[name] for name in names}
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            names = [name for name in archive.files if name != HEADER_KEY]
+            if HEADER_KEY in archive.files:
+                header = json.loads(str(archive[HEADER_KEY]))
+            else:
+                header = make_header(expect_format, 0)
+            arrays = {name: archive[name] for name in names}
+    except FileNotFoundError:
+        raise
+    except ARCHIVE_ERRORS as error:
+        raise CheckpointError(
+            f"{path} is not a readable checkpoint ({error})") from error
+    if not isinstance(header, dict):
+        raise CheckpointError(
+            f"{path} has a {type(header).__name__} header, expected a "
+            f"JSON object")
     found = header.get("format")
     if found != expect_format:
         raise CheckpointError(
@@ -153,28 +177,15 @@ def load_state_dict(module: Module, path: str | Path) -> None:
 # -- optimizer state ---------------------------------------------------------
 
 
-def _flat_param_order(pieces: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-parameter arrays into one flat parameter-order array."""
-    if not pieces:
-        return np.zeros(0, dtype=np.float32)
-    return np.concatenate([piece.ravel() for piece in pieces])
-
-
 def optimizer_state_dict(optimizer) -> dict[str, np.ndarray]:
-    """An optimizer's persistent state as flat parameter-order arrays.
+    """An :class:`repro.nn.optim.Adam`'s persistent state as arrays.
 
-    For :class:`repro.nn.optim.Adam` this is the step count plus the
-    first/second moment estimates; for :class:`~repro.nn.optim.SGD` the
-    momentum velocity.  Arrays are concatenated in parameter order, which
-    is identical whether the optimizer runs in its flat-buffer or
-    per-parameter mode — the state is layout-independent.
+    The step count plus the first/second moment estimates, each moment a
+    copy of the optimizer's flat parameter-order array.
     """
-    state = optimizer.state_arrays()
     out: dict[str, np.ndarray] = {}
-    for name, value in state.items():
-        if isinstance(value, list):
-            out[name] = _flat_param_order(value)
-        elif isinstance(value, np.ndarray):
+    for name, value in optimizer.state_arrays().items():
+        if isinstance(value, np.ndarray):
             out[name] = value.ravel().copy()
         else:
             out[name] = np.asarray(value)
@@ -200,20 +211,9 @@ def load_optimizer_state_dict(optimizer,
             parts.append(f"unexpected entries: {', '.join(unexpected)}")
         raise CheckpointError(
             "optimizer state does not match: " + "; ".join(parts))
-    total = sum(p.data.size for p in optimizer.params)
     for name, value in state.items():
         target = expected[name]
-        if isinstance(target, list):
-            if value.size != total:
-                raise CheckpointError(
-                    f"optimizer state {name!r} has {value.size} elements, "
-                    f"the parameter list needs {total}")
-            offset = 0
-            for piece in target:
-                stop = offset + piece.size
-                piece.ravel()[...] = value[offset:stop]
-                offset = stop
-        elif isinstance(target, np.ndarray):
+        if isinstance(target, np.ndarray):
             if value.size != target.size:
                 raise CheckpointError(
                     f"optimizer state {name!r} has {value.size} elements, "

@@ -1,9 +1,9 @@
 """Workspace arena: shape-keyed scratch buffers reused across passes.
 
-The conv hot path (``im2col`` packing, gemm outputs, ``col2im`` scatter
-images, activation masks) used to allocate every one of its large
-temporaries per call — at the repo's reduced image scales the allocator
-churn rivals the arithmetic.  A :class:`Workspace` is a per-model arena:
+Allocating the conv hot path's large temporaries (``im2col`` packing,
+gemm outputs, ``col2im`` scatter images, activation masks) per call
+would make the allocator churn rival the arithmetic at the repo's
+reduced image scales.  A :class:`Workspace` is a per-model arena:
 each layer acquires named scratch buffers through it, the arena keeps one
 backing allocation per ``(owner, name, dtype)`` slot grown to its
 high-water mark, and every later acquisition is a view into the same
@@ -19,13 +19,14 @@ Aliasing contract (the reason this is safe without reference counting):
   pass again.  The training loop runs ``forward`` then ``backward`` to
   completion before the next forward, and the serving engine runs every
   forward on one worker thread, so both satisfy the contract by
-  construction.  Concurrent passes over one model were already forbidden
-  (layers cache activations on ``self``); the arena does not change that.
+  construction.  Concurrent passes over one model are forbidden anyway
+  (layers cache activations on ``self``).
 
-A module with no workspace attached allocates fresh arrays per call —
-bitwise the same results, just slower.  That legacy path is kept both as
-the safe default for bare layers built in tests and as the reference the
-parity suite compares the arena against.
+The arena is the only memory path: every module builds a workspace of
+its own, and a model shares one across its tree
+(:meth:`repro.nn.layers.Module.attach_workspace`).  A bare layer's
+outputs are therefore arena views too, valid only until that layer runs
+the same pass again.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ class Workspace:
     def __init__(self):
         self._slots: dict[tuple[int, str], _Slot] = {}
         #: Parameter-state generation.  Bumped by every training step and
-        #: state-dict load on an attached model; derived caches keyed on
-        #: parameters (e.g. the fused conv+norm weights of the eval path)
-        #: use it for invalidation.  Code that mutates parameters outside
-        #: those paths must bump it manually.
+        #: state-dict load; derived caches keyed on parameters (the fused
+        #: conv+norm weights of ``forward_eval``) use it for invalidation.
+        #: Code that mutates parameters outside those paths must bump it
+        #: manually.
         self.generation = 0
         #: Backing-buffer epoch.  Bumped whenever any slot reallocates its
         #: flat array; layer-side view/plan memos compare against it so a

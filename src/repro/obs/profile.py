@@ -119,7 +119,7 @@ class Profiler:
             for method in PROFILED_METHODS:
                 impl = getattr(type(leaf), method, None)
                 if impl is None or impl is getattr(base, method, None):
-                    continue  # inherited default delegates to forward
+                    continue  # the base-class stub, nothing to time
                 if method in vars(leaf):
                     raise RuntimeError(
                         f"{path}.{method} already wrapped; nested attach "

@@ -1,5 +1,8 @@
 """CLI tests (python -m repro)."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Acc.1" in out
         assert "diffeq1" in out and "diffeq2" in out
+
+
+class TestTrainResumeCommand:
+    def test_truncated_checkpoint_exits_with_error(self, tmp_path,
+                                                   monkeypatch):
+        root = tmp_path / "fixture"
+        shutil.copytree(Path(__file__).parent / "fixtures" / "train_resume",
+                        root)
+        monkeypatch.chdir(root)          # the spec says "store:store"
+        latest = root / "runs" / "legacy" / "checkpoints" / \
+            "step_00000006.npz"
+        latest.write_bytes(latest.read_bytes()[:latest.stat().st_size // 2])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "resume", "runs/legacy"])
+        message = str(exit_info.value.code)
+        assert message.startswith("error: ")
+        assert "step_00000006.npz" in message
 
 
 class TestServeCommand:

@@ -8,6 +8,17 @@ read back from the artifact store, and the eval runner's
 ``CheckpointForecaster``.  Deterministic inference is batch-invariant,
 so each comparison is ``np.array_equal``, never a tolerance.
 
+The per-sample forecast itself is pinned to the slow float64 reference
+in ``tests/reference_forward.py`` within its documented ``ATOL`` (1e-6),
+which pins every path above to it too.
+
+Two more paths are pinned to per-sample forecasts elsewhere:
+``live_forecast`` by
+``test_flows_experiments.py::TestSpeedupAndRealtime::test_live_forecast_through_engine_matches_direct``
+(its direct path calls ``Pix2Pix.forecast``), and ``evaluate_store`` with
+four workers by
+``test_eval_runner_report.py::TestDeterminism::test_worker_count_does_not_change_bytes``.
+
 ``hypothesis`` draws the input seed, the request count, the arrival
 order and the share of repeated inputs.  The servers and the fleet are
 started once for the module.
@@ -22,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_tiny_model
+from tests.reference_forward import ATOL, reference_forward
 from repro.eval.runner import CheckpointForecaster
 from repro.fleet import ArtifactStore, FleetRouter, JobStore, WorkerPool
 from repro.serve import (
@@ -131,6 +143,10 @@ def test_every_path_matches_per_sample_forecast(paths, seed, count,
     order = data.draw(st.permutations(range(count)), label="arrival")
     model = paths["reference"]
     expected = [model.forecast(x) for x in inputs]
+    np.testing.assert_allclose(
+        np.stack(expected), reference_forward(model.generator,
+                                              np.stack(inputs)),
+        rtol=0, atol=ATOL, err_msg="float64 reference")
 
     def check(name, images):
         for index, (image, want) in enumerate(zip(images, expected)):

@@ -80,12 +80,11 @@ class TestUNetGenerator:
             gen = UNetGenerator(image_size=32, base_filters=4,
                                 skip_mode=skip_mode, dropout=0.0,
                                 rng=np.random.default_rng(1))
-            gen.eval()
             x = np.zeros((1, 4, 32, 32), dtype=np.float32)
-            base = gen.forward(x).copy()
+            base = gen.forward_eval(x)
             x2 = x.copy()
             x2[0, :, 8, 8] = 2.0
-            shifted = gen.forward(x2)
+            shifted = gen.forward_eval(x2)
             delta = np.abs(shifted - base)[0].sum(axis=0)
             local = delta[6:11, 6:11].sum()
             return local / (delta.sum() + 1e-9)
@@ -117,11 +116,9 @@ class TestUNetGenerator:
         clone = UNetGenerator(image_size=16, base_filters=4,
                               rng=np.random.default_rng(42))
         clone.load_state_dict(gen.state_dict())
-        gen.eval()
-        clone.eval()
         x = rng.normal(size=(1, 4, 16, 16)).astype(np.float32)
-        np.testing.assert_allclose(gen.forward(x), clone.forward(x),
-                                   rtol=1e-5)
+        np.testing.assert_array_equal(gen.forward_eval(x),
+                                      clone.forward_eval(x))
 
 
 class TestPatchDiscriminator:

@@ -112,8 +112,3 @@ class TestGenerate:
         c = model.generate(x, sample_noise=False)
         d = model.generate(x, sample_noise=False)
         np.testing.assert_allclose(c, d)
-
-    def test_generate_restores_training_mode(self, model, batch):
-        x, _ = batch
-        model.generate(x, sample_noise=False)
-        assert model.generator.training

@@ -116,15 +116,18 @@ class TestIm2ColFastPaths:
         x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
         expected = im2col(x, 3, 1, 1)
         out = np.empty_like(expected)
-        pad_out = np.empty((1, 2, 8, 8), dtype=np.float32)
-        got = im2col(x, 3, 1, 1, out=out, pad_out=pad_out)
+        got = im2col(x, 3, 1, 1, out=out)
         assert got is out
         np.testing.assert_array_equal(got, expected)
-        # Reuse with a stale border skip must stay correct: the border was
-        # zeroed on the first call and nothing else wrote it.
-        again = im2col(x, 3, 1, 1, out=out, pad_out=pad_out,
-                       zero_border=False)
-        np.testing.assert_array_equal(again, expected)
+        # Padding into a reused buffer with a stale border skip must stay
+        # correct: the border was zeroed on the first call and nothing
+        # else wrote it.
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        pad_out = np.empty_like(padded)
+        assert pad2d(x, 1, out=pad_out) is pad_out
+        np.testing.assert_array_equal(pad_out, padded)
+        again = pad2d(x, 1, out=pad_out, zero_border=False)
+        np.testing.assert_array_equal(again, padded)
 
     def test_pad2d_matches_np_pad(self):
         x = np.random.default_rng(2).normal(size=(2, 3, 5, 4)).astype(
@@ -173,16 +176,6 @@ class TestActivations:
             atol=2e-7)
         assert sigmoid(np.float64(0.5).reshape(())).dtype == np.float64
         assert sigmoid(np.array([0, 1, 2])).dtype == np.float64  # int input
-
-    def test_sigmoid_gradcheck(self):
-        """Finite-difference check of the Sigmoid layer's derivative."""
-        from repro.nn import Sigmoid
-        from repro.nn.gradcheck import check_layer_input_grad
-
-        rng = np.random.default_rng(0)
-        x = rng.normal(scale=2.0, size=(2, 1, 4, 4))
-        error = check_layer_input_grad(Sigmoid(), x)
-        assert error < 1e-6
 
     def test_leaky_relu_matches_where_formulation_bitwise(self):
         rng = np.random.default_rng(4)

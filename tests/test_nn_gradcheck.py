@@ -15,9 +15,7 @@ from repro.nn import (
     ConvTranspose2d,
     L1Loss,
     LeakyReLU,
-    MSELoss,
     Sequential,
-    Sigmoid,
     Tanh,
 )
 from repro.nn.gradcheck import (
@@ -82,17 +80,10 @@ class TestBatchNormGradients:
         errors = check_layer_param_grads(layer, x)
         assert max(errors.values()) < TOL
 
-    def test_input_grad_eval_mode(self, rng):
-        layer = _f64(BatchNorm2d(2))
-        layer(rng.normal(size=(4, 2, 4, 4)))  # populate running stats
-        layer.eval()
-        x = rng.normal(size=(2, 2, 4, 4))
-        assert check_layer_input_grad(layer, x) < TOL
-
 
 class TestActivationGradients:
     @pytest.mark.parametrize("layer_factory", [
-        lambda: LeakyReLU(0.2), Tanh, Sigmoid,
+        lambda: LeakyReLU(0.2), Tanh,
     ])
     def test_input_grad(self, rng, layer_factory):
         layer = layer_factory()
@@ -118,13 +109,11 @@ class TestLossGradients:
     @pytest.mark.parametrize("loss_factory,target", [
         (BCEWithLogitsLoss, 1.0),
         (BCEWithLogitsLoss, 0.0),
-        (MSELoss, None),
     ])
     def test_loss_grad_matches_fd(self, rng, loss_factory, target):
         loss = loss_factory()
         pred = rng.normal(size=(2, 1, 3, 3))
-        tgt = (np.full_like(pred, target) if target is not None
-               else rng.normal(size=pred.shape))
+        tgt = np.full_like(pred, target)
 
         def value(arr):
             return loss.forward(arr, tgt)

@@ -3,49 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, SGD
+from repro.nn import Adam
 from repro.nn.layers import Parameter
 
 
 def quadratic_grad(param: Parameter, target: float = 3.0) -> None:
     """Gradient of 0.5 * (x - target)^2."""
     param.grad[...] = param.data - target
-
-
-class TestSGD:
-    def test_single_step(self):
-        param = Parameter(np.array([0.0], dtype=np.float32))
-        opt = SGD([param], lr=0.1)
-        quadratic_grad(param)
-        opt.step()
-        assert param.data[0] == pytest.approx(0.3)
-
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.array([10.0], dtype=np.float32))
-        opt = SGD([param], lr=0.5)
-        for _ in range(50):
-            opt.zero_grad()
-            quadratic_grad(param)
-            opt.step()
-        assert param.data[0] == pytest.approx(3.0, abs=1e-3)
-
-    def test_momentum_accelerates(self):
-        plain = Parameter(np.array([10.0], dtype=np.float32))
-        heavy = Parameter(np.array([10.0], dtype=np.float32))
-        opt_plain = SGD([plain], lr=0.05)
-        opt_heavy = SGD([heavy], lr=0.05, momentum=0.9)
-        for _ in range(20):
-            quadratic_grad(plain)
-            opt_plain.step()
-            plain.zero_grad()
-            quadratic_grad(heavy)
-            opt_heavy.step()
-            heavy.zero_grad()
-        assert abs(heavy.data[0] - 3.0) < abs(plain.data[0] - 3.0)
-
-    def test_invalid_lr_raises(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.0)
 
 
 class TestAdam:
@@ -72,6 +36,16 @@ class TestAdam:
             quadratic_grad(param)
             opt.step()
         assert param.data[0] == pytest.approx(3.0, abs=1e-2)
+
+    def test_invalid_lr_raises(self):
+        with pytest.raises(ValueError):
+            Adam([Parameter(np.zeros(1))], lr=0.0)
+
+    def test_mixed_dtypes_raise(self):
+        wide = Parameter(np.zeros(2))
+        wide.data = wide.data.astype(np.float64)
+        with pytest.raises(ValueError, match="one parameter dtype"):
+            Adam([Parameter(np.zeros(3)), wide])
 
     def test_zero_grad_clears_all(self):
         params = [Parameter(np.ones(3)), Parameter(np.ones(2))]

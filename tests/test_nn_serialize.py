@@ -1,9 +1,13 @@
 """Checkpoint serialization: round-trips and mismatch diagnostics."""
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Adam, Conv2d, Sequential, BatchNorm2d
 from repro.nn.serialize import (
@@ -35,15 +39,13 @@ class TestRoundTrip:
         module = small_module(seed=1)
         x = np.random.default_rng(0).normal(size=(1, 2, 8, 8)
                                             ).astype(np.float32)
-        module.train(False)
-        expected = module.forward(x)
+        expected = module.forward_eval(x).copy()
 
         path = tmp_path / "module.npz"
         save_state_dict(module, path)
         restored = small_module(seed=2)
         load_state_dict(restored, path)
-        restored.train(False)
-        np.testing.assert_array_equal(restored.forward(x), expected)
+        np.testing.assert_array_equal(restored.forward_eval(x), expected)
 
     def test_buffers_round_trip(self, tmp_path):
         module = small_module(seed=1)
@@ -127,6 +129,12 @@ class TestVersionedHeader:
                   make_header(MODULE_STATE_FORMAT, 99))
         with pytest.raises(CheckpointError, match="version"):
             load_state_dict(small_module(), path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "list-header.npz"
+        np.savez(path, **{"x": np.zeros(2), HEADER_KEY: np.array("[1, 2]")})
+        with pytest.raises(CheckpointError, match="list-header.npz"):
+            read_npz(path, MODULE_STATE_FORMAT, 1)
 
     def test_atomic_write_leaves_no_staging_file(self, tmp_path):
         write_npz(tmp_path / "out.npz", {"x": np.ones(3)},
@@ -288,3 +296,97 @@ class TestPix2PixCheckpointValidation:
         tiny_model.save(path)
         restored = Pix2Pix.load(path)
         np.testing.assert_array_equal(restored.forecast(x), expected)
+
+
+ARCHIVE_KINDS = ("train-state", "pix2pix")
+
+
+@pytest.fixture(scope="module")
+def saved_archives(tmp_path_factory):
+    """One tiny model saved as a train-state checkpoint and by
+    ``Pix2Pix.save``, as ``<kind>.npz``."""
+    from repro.train.checkpoint import TrainCursor, save_train_state
+    from tests.conftest import make_tiny_model
+
+    root = tmp_path_factory.mktemp("archives")
+    model = make_tiny_model()
+    save_train_state(root / "train-state.npz", model, TrainCursor(),
+                     np.zeros(4))
+    model.save(root / "pix2pix.npz")
+    return root
+
+
+def load_archive(kind: str, path) -> None:
+    """Load ``path`` the way a resume (or a server) would."""
+    from repro.gan import Pix2Pix
+    from repro.train.checkpoint import load_train_state
+    from tests.conftest import make_tiny_model
+
+    if kind == "train-state":
+        load_train_state(path, make_tiny_model(train_steps=0))
+    else:
+        Pix2Pix.load(path)
+
+
+def damage_archive(data: bytes, damage: str) -> bytes:
+    """Break an ``.npz`` archive's structure in one of three ways."""
+    if damage == "unbalanced-npy-header":
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            members = {name: archive.read(name)
+                       for name in archive.namelist()}
+        header = b"{'descr': '<f4', 'shape': (1,\n"
+        first = next(iter(members))
+        members[first] = (b"\x93NUMPY\x01\x00"
+                          + len(header).to_bytes(2, "little") + header)
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w") as archive:
+            for name, blob in members.items():
+                archive.writestr(name, blob)
+        return out.getvalue()
+    # The end-of-central-directory record points at the first entry.
+    end = data.rindex(b"PK\x05\x06")
+    entry = int.from_bytes(data[end + 16:end + 20], "little")
+    damaged = bytearray(data)
+    if damage == "encrypted-flag":
+        damaged[entry + 8] |= 1
+    else:                               # an unsupported compression method
+        damaged[entry + 10:entry + 12] = (9).to_bytes(2, "little")
+    return bytes(damaged)
+
+
+class TestDamagedArchives:
+    """A damaged checkpoint loads or raises ``ValueError``, never
+    anything else: resume and serving map ``ValueError`` to a clean
+    ``error:`` exit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("kind", ARCHIVE_KINDS)
+    def test_truncated_or_bit_flipped(self, saved_archives, kind, data):
+        original = (saved_archives / f"{kind}.npz").read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = original[:data.draw(
+                st.integers(0, len(original) - 1), label="length")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(original) - 1),
+                            label="bit")
+            damaged = bytearray(original)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+        path = saved_archives / f"damaged-{kind}.npz"
+        path.write_bytes(bytes(damaged))
+        try:
+            load_archive(kind, path)
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize("damage", ["unbalanced-npy-header",
+                                        "encrypted-flag",
+                                        "unknown-compression"])
+    @pytest.mark.parametrize("kind", ARCHIVE_KINDS)
+    def test_structural_damage_names_the_file(self, saved_archives, tmp_path,
+                                              kind, damage):
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(damage_archive(
+            (saved_archives / f"{kind}.npz").read_bytes(), damage))
+        with pytest.raises(ValueError, match="damaged.npz"):
+            load_archive(kind, path)
