@@ -20,8 +20,7 @@ def test_realtime_forecast(benchmark, scale, ode_bundle, ode_trainer):
         holder["frames"] = live_forecast(
             ode_bundle, ode_trainer.model,
             options=PlacerOptions(seed=77, alpha_t=0.9),
-            snapshot_every=2,
-            connect_weight=scale.connect_weight)
+            snapshot_every=2)
         return holder["frames"]
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -39,7 +39,6 @@ def main() -> None:
         bundle, model,
         options=PlacerOptions(seed=99, alpha_t=0.9),
         snapshot_every=2,
-        connect_weight=scale.connect_weight,
         out_dir=OUT_DIR,
         gif_path=OUT_DIR / "live_forecast.gif",
     )

@@ -611,28 +611,24 @@ def _train_legacy(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    from repro.flows.datagen import build_design_bundle
-    from repro.fpga import Placement, PlacerOptions, SimulatedAnnealingPlacer
+    from repro.flows.datagen import make_design_context
+    from repro.fpga import PlacerOptions
     from repro.gan import Pix2Pix, image_congestion_score
-    from repro.gan.dataset import from_unit_range, input_from_images
+    from repro.gan.dataset import input_from_images
     from repro.viz import render_connectivity, render_placement, write_png
 
     scale = get_scale(args.scale)
     model = Pix2Pix.load(args.model)
-    bundle = build_design_bundle(
-        _spec(scale, args.design), scale, num_placements=1, seed=args.seed,
+    context = make_design_context(
+        _spec(scale, args.design), scale, seed=args.seed,
         image_size=model.config.image_size)
-    result = SimulatedAnnealingPlacer(
-        bundle.netlist, bundle.arch,
-        PlacerOptions(seed=args.placer_seed)).place()
-    placement = Placement(bundle.netlist, bundle.arch,
-                          list(result.placement.site_of))
-    place_image = render_placement(placement, bundle.layout)
-    connect = render_connectivity(bundle.netlist, placement, bundle.layout)
-    x = input_from_images(place_image, connect, scale.connect_weight)
-    generated = model.generate(x, sample_noise=False)
-    forecast = from_unit_range(generated[0].transpose(1, 2, 0))
-    score = image_congestion_score(forecast, bundle.channel_mask)
+    placement = context.place(PlacerOptions(seed=args.placer_seed))
+    place_image = render_placement(placement, context.layout)
+    connect = render_connectivity(context.netlist, placement, context.layout)
+    x = input_from_images(place_image, connect, context.connect_weight)
+    forecast = model.forecast(x[0])
+    score = image_congestion_score(forecast,
+                                   context.layout.channel_pixel_mask())
 
     write_png(args.out / "place.png", place_image)
     write_png(args.out / "forecast.png", forecast)

@@ -4,10 +4,11 @@
   manifest with provenance, per-shard sha256, and per-sample content
   hashes; atomic append/merge/verify, and conversion from legacy
   single-file ``Dataset.save`` archives.
-* :mod:`repro.data.parallel` — the Section-5 per-placement
-  route-and-render work fanned over a ``multiprocessing`` pool, with
-  deterministic per-task seeding so worker-pool builds hash identically
-  to serial ones.
+* :mod:`repro.data.parallel` — the one Section-5 sweep loop over a
+  design's :class:`~repro.flows.datagen.DesignContext`, inline or fanned
+  over a ``multiprocessing`` pool, with deterministic per-task seeding so
+  worker-pool builds hash identically to serial ones.  In-memory bundles
+  (:func:`repro.flows.datagen.build_design_bundle`) run the same loop.
 * :mod:`repro.data.loader` — shard-aware shuffling, dihedral
   augmentation, and epoch streaming into the trainer without
   materializing the corpus.
@@ -24,12 +25,7 @@ from repro.data.loader import (
     iter_eval_batches,
     shard_eval_arrays,
 )
-from repro.data.parallel import (
-    DesignRecipe,
-    build_design_store,
-    design_recipe,
-    iter_design_samples,
-)
+from repro.data.parallel import build_design_store, iter_design_samples
 from repro.data.store import (
     DEFAULT_SHARD_SIZE,
     ShardedStore,
@@ -40,7 +36,6 @@ from repro.data.store import (
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
-    "DesignRecipe",
     "MemoryLoader",
     "NUM_DIHEDRAL",
     "ShardedStore",
@@ -49,7 +44,6 @@ __all__ = [
     "apply_dihedral",
     "augment_pair",
     "build_design_store",
-    "design_recipe",
     "file_sha256",
     "iter_design_samples",
     "iter_eval_batches",

@@ -1,23 +1,20 @@
-"""Parallel dataset generation: fan per-placement work over processes.
+"""The Section-5 sweep loop, inline or over worker processes.
 
-The serial Section-5 pipeline (:mod:`repro.flows.datagen`) routes each
-swept placement one after another.  Here the same unit of work —
-:func:`repro.flows.datagen.route_and_render` on one
-:class:`~repro.flows.datagen.PlacerOptions` — is fanned over a
-``multiprocessing`` pool.  Determinism comes for free: every task is
-seeded by its own ``PlacerOptions.seed`` (``base_seed + index`` from the
-sweep), each worker rebuilds the identical per-design context from a
-picklable recipe, and results are consumed in task order (``imap``), so an
-N-worker build emits the same samples, in the same order, as a serial one
-(up to the recorded wall-clock timings, which the store's content hashes
-exclude).
+:func:`iter_design_samples` turns a design's
+:class:`~repro.flows.datagen.DesignContext` and swept placer options into
+samples, one :func:`~repro.flows.datagen.route_and_render` per placement;
+bundles keep them in memory, :func:`build_design_store` writes them to
+shards.  Each task is seeded by its own ``PlacerOptions.seed``, every
+worker holds the same context (inherited on fork, pickled once on spawn),
+and results arrive in task order (``imap``), so an N-worker build emits
+the samples of a serial one (up to the wall-clock timings, which the
+store's content hashes exclude).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -26,9 +23,7 @@ from repro.flows.datagen import (
     _SWEEP_VERSION,
     DesignContext,
     make_design_context,
-    prepare_design,
     route_and_render,
-    size_channels,
     sweep_placer_options,
 )
 from repro.fpga import PlacerOptions
@@ -37,59 +32,19 @@ from repro.gan.dataset import Sample
 
 from repro.data.store import DEFAULT_SHARD_SIZE, ShardedStore
 
-
-@dataclass(frozen=True)
-class DesignRecipe:
-    """Picklable recipe from which any process rebuilds a design context.
-
-    Channel width is resolved up front (it depends on routing the first
-    sweep placement), so workers reconstruct bit-identical substrate
-    without coordinating.
-    """
-
-    spec: DesignSpec
-    scale: ExperimentScale
-    seed: int
-    image_size: int
-    channel_width: int
-    connect_weight: float
-
-    def build_context(self) -> DesignContext:
-        return make_design_context(
-            self.spec, self.scale, seed=self.seed,
-            image_size=self.image_size, connect_weight=self.connect_weight,
-            channel_width=self.channel_width)
-
-
-def design_recipe(spec: DesignSpec, scale: ExperimentScale, seed: int = 0,
-                  image_size: int | None = None,
-                  connect_weight: float | None = None) -> DesignRecipe:
-    """Resolve a design's recipe (sizes channels by place+route once)."""
-    connect_weight = (connect_weight if connect_weight is not None
-                      else scale.connect_weight)
-    netlist, probe_arch, _, image_size = prepare_design(
-        spec, scale, seed=seed, image_size=image_size)
-    channel_width = size_channels(
-        netlist, probe_arch, sweep_placer_options(1, base_seed=seed)[0])
-    return DesignRecipe(spec=spec, scale=scale, seed=seed,
-                        image_size=image_size, channel_width=channel_width,
-                        connect_weight=connect_weight)
-
-
-# Per-process context, built once by the pool initializer so every task in
-# a worker reuses the same netlist/arch/layout/floor image.
+# Per-process context, installed once by the pool initializer so every
+# task in a worker reuses the same netlist/arch/layout/floor image.
 _WORKER_CONTEXT: DesignContext | None = None
 
 
-def _init_worker(recipe: DesignRecipe) -> None:
+def _init_worker(context: DesignContext) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = recipe.build_context()
+    _WORKER_CONTEXT = context
 
 
-def _run_option(option_fields: dict) -> Sample:
+def _run_option(option: PlacerOptions) -> Sample:
     assert _WORKER_CONTEXT is not None, "pool initializer did not run"
-    sample, _ = route_and_render(_WORKER_CONTEXT,
-                                 PlacerOptions(**option_fields))
+    sample, _ = route_and_render(_WORKER_CONTEXT, option)
     return sample
 
 
@@ -101,27 +56,23 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         "fork" if "fork" in methods else "spawn")
 
 
-def iter_design_samples(recipe: DesignRecipe, num_placements: int,
-                        workers: int = 0,
+def iter_design_samples(context: DesignContext,
+                        options: list[PlacerOptions], workers: int = 0,
                         chunksize: int = 1) -> Iterator[Sample]:
-    """Yield the design's samples in sweep order.
+    """Yield one sample per placer option, in ``options`` order.
 
     ``workers <= 1`` runs inline (no pool, no pickling); otherwise a pool
     of ``workers`` processes runs :func:`route_and_render` per placement
     and results stream back in task order.
     """
-    options = sweep_placer_options(num_placements, base_seed=recipe.seed)
-    fields = [vars(option).copy() for option in options]
     if workers <= 1:
-        context = recipe.build_context()
-        for option_fields in fields:
-            sample, _ = route_and_render(context,
-                                         PlacerOptions(**option_fields))
+        for option in options:
+            sample, _ = route_and_render(context, option)
             yield sample
         return
     with _pool_context().Pool(processes=workers, initializer=_init_worker,
-                              initargs=(recipe,)) as pool:
-        yield from pool.imap(_run_option, fields, chunksize=chunksize)
+                              initargs=(context,)) as pool:
+        yield from pool.imap(_run_option, options, chunksize=chunksize)
 
 
 def build_design_store(
@@ -147,28 +98,28 @@ def build_design_store(
     """
     num_placements = (num_placements if num_placements is not None
                       else scale.placements_per_design)
-    recipe = design_recipe(spec, scale, seed=seed, image_size=image_size,
-                           connect_weight=connect_weight)
+    context = make_design_context(spec, scale, seed=seed,
+                                  image_size=image_size,
+                                  connect_weight=connect_weight)
+    options = sweep_placer_options(num_placements, base_seed=seed)
     if store is None:
         store = ShardedStore.create(out_dir, shard_size=shard_size)
     start = time.perf_counter()
-    done = 0
-    for sample in iter_design_samples(recipe, num_placements,
-                                      workers=workers):
+    for done, sample in enumerate(
+            iter_design_samples(context, options, workers=workers), 1):
         store.append(sample)
-        done += 1
         if log is not None:
             log(f"{spec.name}: {done}/{num_placements} placements")
     store.flush()
-    store.metadata.setdefault("channel_width", recipe.channel_width)
+    store.metadata.setdefault("channel_width", context.channel_width)
     store.add_provenance({
         "design": spec.name,
         "scale": scale.name,
         "seed": seed,
         "num_placements": num_placements,
-        "image_size": recipe.image_size,
-        "channel_width": recipe.channel_width,
-        "connect_weight": recipe.connect_weight,
+        "image_size": context.layout.image_size,
+        "channel_width": context.channel_width,
+        "connect_weight": context.connect_weight,
         "sweep_version": _SWEEP_VERSION,
         "workers": workers,
         "build_seconds": round(time.perf_counter() - start, 3),

@@ -8,14 +8,19 @@ For each design: synthesize the netlist, fit an architecture, sweep placer
 options to produce diverse placements, size the routing channels once per
 design (VPR-style), route every placement for ground truth, and render the
 (img_place + img_connect, img_route) training pairs.
+
+:func:`make_design_context` builds a design's substrate and
+:func:`repro.data.parallel.iter_design_samples` sweeps it; a bundle keeps
+the samples in memory, a store (:func:`repro.data.build_design_store`)
+writes them to shards.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +93,9 @@ class DesignContext:
     """Per-design substrate shared by every placement task.
 
     Everything :func:`route_and_render` needs, so the per-placement work is
-    a pure function of ``(context, options)`` — the unit of work both the
-    serial loop here and the :mod:`repro.data.parallel` worker pool run.
+    a pure function of ``(context, options)`` — the unit of work
+    :func:`repro.data.parallel.iter_design_samples` runs for bundles and
+    stores alike.  Only :func:`make_design_context` builds one.
     """
 
     design: str
@@ -100,6 +106,13 @@ class DesignContext:
     floor_image: np.ndarray
     connect_weight: float
     channel_width: int
+
+    def place(self, option: PlacerOptions) -> Placement:
+        """Anneal ``option`` on the probe arch; sites on the routing arch."""
+        result = SimulatedAnnealingPlacer(
+            self.netlist, self.probe_arch, option).place()
+        return Placement(self.netlist, self.arch,
+                         list(result.placement.site_of))
 
 
 def prepare_design(spec: DesignSpec, scale: ExperimentScale, seed: int = 0,
@@ -150,26 +163,17 @@ def make_design_context(
         connect_weight=connect_weight, channel_width=channel_width)
 
 
-def route_and_render(context: DesignContext, option: PlacerOptions,
-                     placed=None, place_seconds: float = 0.0
+def route_and_render(context: DesignContext, option: PlacerOptions
                      ) -> tuple[Sample, Placement]:
     """One dataset pair: place with ``option``, route it, render the images.
 
     Deterministic given ``(context, option)`` up to the recorded wall-clock
     timings — which is what makes the N-worker build in
     :mod:`repro.data.parallel` content-equivalent to the serial one.
-    Pass a ``PlacerResult`` already produced for ``option`` as ``placed``
-    (with its measured ``place_seconds``) to skip re-running the placer —
-    the serial build reuses the channel-sizing placement this way.
     """
-    if placed is None:
-        start = time.perf_counter()
-        placed = SimulatedAnnealingPlacer(
-            context.netlist, context.probe_arch, option).place()
-        place_seconds = time.perf_counter() - start
-    result = placed
-    placement = Placement(context.netlist, context.arch,
-                          list(result.placement.site_of))
+    start = time.perf_counter()
+    placement = context.place(option)
+    place_seconds = time.perf_counter() - start
     routing = PathFinderRouter(context.netlist, context.arch,
                                placement).route()
     place_image = render_placement(placement, context.layout,
@@ -193,16 +197,18 @@ def route_and_render(context: DesignContext, option: PlacerOptions,
 
 
 @dataclass
-class DesignBundle:
-    """Everything produced for one design: substrate objects plus samples."""
+class DesignBundle(DesignContext):
+    """One design's :class:`DesignContext` plus its swept samples."""
 
     spec: DesignSpec
-    netlist: Netlist
-    arch: FpgaArchitecture
-    layout: FloorplanLayout
     dataset: Dataset
-    channel_width: int
-    placements: list[Placement]
+
+    @cached_property
+    def placements(self) -> list[Placement]:
+        """Each sample's placement, re-annealed on first read from its
+        ``placer_options`` exactly as :func:`route_and_render` placed it."""
+        return [self.place(PlacerOptions(**sample.placer_options))
+                for sample in self.dataset]
 
     @property
     def channel_mask(self) -> np.ndarray:
@@ -229,94 +235,46 @@ def build_design_bundle(
 ) -> DesignBundle:
     """Generate (or load from cache) the full dataset for one design.
 
+    The context comes from :func:`make_design_context` and the samples
+    from :func:`repro.data.parallel.iter_design_samples` run inline — the
+    same two steps a store build takes, so both emit identical samples.
     The disk cache is a :class:`repro.data.ShardedStore` directory per
-    build configuration; legacy single-file ``<stem>.npz`` + ``.json``
-    caches from earlier versions are converted in place on first touch.
+    build configuration; a hit still sizes the channels (one anneal) but
+    routes and renders nothing.
     """
+    from repro.data.parallel import iter_design_samples
     from repro.data.store import ShardedStore
 
     num_placements = (num_placements if num_placements is not None
                       else scale.placements_per_design)
-    connect_weight = (connect_weight if connect_weight is not None
-                      else scale.connect_weight)
-
-    netlist, probe_arch, width, image_size = prepare_design(
-        spec, scale, seed=seed, image_size=image_size)
-
+    context = make_design_context(spec, scale, seed=seed,
+                                  image_size=image_size,
+                                  connect_weight=connect_weight)
     store_dir = None
     if cache_dir is not None:
         stem = (f"{scale.name}_{spec.name}_n{num_placements}_s{seed}"
-                f"_w{image_size}_cw{connect_weight}_v{_SWEEP_VERSION}")
+                f"_w{context.layout.image_size}_cw{context.connect_weight}"
+                f"_v{_SWEEP_VERSION}")
         store_dir = Path(cache_dir) / stem
-        legacy_npz = Path(cache_dir) / f"{stem}.npz"
-        legacy_meta = Path(cache_dir) / f"{stem}.json"
-        if (not ShardedStore.is_store(store_dir) and legacy_npz.exists()
-                and legacy_meta.exists()):
-            ShardedStore.convert_archive(
-                legacy_npz, store_dir,
-                metadata=json.loads(legacy_meta.read_text()))
 
     if store_dir is not None and ShardedStore.is_store(store_dir):
-        store = ShardedStore.open(store_dir)
-        channel_width = int(store.metadata["channel_width"])
-        arch = paper_architecture(width, channel_width=channel_width)
-        layout = FloorplanLayout(arch, image_size)
-        dataset = store.to_dataset()
-        placements = _replay_placements(netlist, arch, dataset)
-        return DesignBundle(spec=spec, netlist=netlist, arch=arch,
-                            layout=layout, dataset=dataset,
-                            channel_width=channel_width,
-                            placements=placements)
-
-    options = sweep_placer_options(num_placements, base_seed=seed)
-    start = time.perf_counter()
-    first_result = SimulatedAnnealingPlacer(
-        netlist, probe_arch, options[0]).place()
-    first_seconds = time.perf_counter() - start
-    channel_width = estimate_channel_width(
-        netlist, probe_arch, first_result.placement)
-    arch = paper_architecture(width, channel_width=channel_width)
-    layout = FloorplanLayout(arch, image_size)
-    context = DesignContext(
-        design=spec.name, netlist=netlist, probe_arch=probe_arch, arch=arch,
-        layout=layout, floor_image=render_floorplan(arch, layout),
-        connect_weight=connect_weight, channel_width=channel_width)
-
-    dataset = Dataset()
-    placements = []
-    for index, option in enumerate(options):
-        sample, placement = route_and_render(
-            context, option,
-            placed=first_result if index == 0 else None,
-            place_seconds=first_seconds)
-        dataset.append(sample)
-        placements.append(placement)
-
-    if store_dir is not None:
-        ShardedStore.from_dataset(
-            store_dir, dataset,
-            metadata={"channel_width": channel_width, "grid_width": width},
-            provenance=[{
-                "design": spec.name, "scale": scale.name, "seed": seed,
-                "num_placements": num_placements, "image_size": image_size,
-                "connect_weight": connect_weight,
-                "sweep_version": _SWEEP_VERSION,
-            }])
-    return DesignBundle(spec=spec, netlist=netlist, arch=arch, layout=layout,
-                        dataset=dataset, channel_width=channel_width,
-                        placements=placements)
-
-
-def _replay_placements(netlist: Netlist, arch: FpgaArchitecture,
-                       dataset: Dataset) -> list[Placement]:
-    """Re-run the placer for cached samples (deterministic per options)."""
-    placements = []
-    for sample in dataset:
-        options = PlacerOptions(**sample.placer_options)
-        result = SimulatedAnnealingPlacer(netlist, arch, options).place()
-        placements.append(
-            Placement(netlist, arch, list(result.placement.site_of)))
-    return placements
+        dataset = ShardedStore.open(store_dir).to_dataset()
+    else:
+        options = sweep_placer_options(num_placements, base_seed=seed)
+        dataset = Dataset(list(iter_design_samples(context, options)))
+        if store_dir is not None:
+            ShardedStore.from_dataset(
+                store_dir, dataset,
+                metadata={"channel_width": context.channel_width,
+                          "grid_width": context.arch.width},
+                provenance=[{
+                    "design": spec.name, "scale": scale.name, "seed": seed,
+                    "num_placements": num_placements,
+                    "image_size": context.layout.image_size,
+                    "connect_weight": context.connect_weight,
+                    "sweep_version": _SWEEP_VERSION,
+                }])
+    return DesignBundle(**vars(context), spec=spec, dataset=dataset)
 
 
 def suite_image_size(scale: ExperimentScale, specs, seed: int = 0) -> int:
@@ -325,13 +283,9 @@ def suite_image_size(scale: ExperimentScale, specs, seed: int = 0) -> int:
     The largest per-design minimum, floored at ``scale.image_size``, so
     leave-one-design-out training can mix every design's samples.
     """
-    image_size = scale.image_size
-    for spec in specs:
-        netlist = generate_design(spec, cluster_size=scale.cluster_size,
-                                  seed=seed)
-        arch = paper_architecture(minimum_architecture_size(netlist))
-        image_size = max(image_size, minimum_image_size(arch))
-    return image_size
+    return max([scale.image_size,
+                *(prepare_design(spec, scale, seed=seed)[3]
+                  for spec in specs)])
 
 
 def build_suite_bundles(

@@ -28,12 +28,7 @@ from repro.flows.datagen import DesignBundle
 from repro.gan.dataset import input_from_images
 from repro.gan.metrics import image_congestion_score
 from repro.gan.pix2pix import Pix2Pix
-from repro.viz import (
-    render_connectivity,
-    render_floorplan,
-    render_placement,
-    write_png,
-)
+from repro.viz import render_connectivity, render_placement, write_png
 
 
 @dataclass
@@ -53,13 +48,15 @@ def live_forecast(
     model: Pix2Pix | None = None,
     options: PlacerOptions | None = None,
     snapshot_every: int = 2,
-    connect_weight: float = 0.1,
     out_dir: str | Path | None = None,
     gif_path: str | Path | None = None,
     engine=None,
     engine_model_id: str | None = None,
 ) -> list[RealtimeFrame]:
     """Anneal the bundle's netlist while forecasting congestion per snapshot.
+
+    Each frame is rendered on the bundle's floor image with the bundle's
+    ``connect_weight``, the weight its training samples carry.
 
     Returns the frame sequence; when ``out_dir`` is given, each frame's
     placement and forecast images are written as PNG pairs; when
@@ -77,7 +74,6 @@ def live_forecast(
         raise ValueError("pass a model, an engine, or both")
     options = options if options is not None else PlacerOptions(seed=17)
     layout = bundle.layout
-    floor_image = render_floorplan(bundle.arch, layout)
     mask = bundle.channel_mask
     frames: list[RealtimeFrame] = []
 
@@ -96,9 +92,11 @@ def live_forecast(
             engine.registry.register(model_id, model)
 
     def snapshot(index: int, temperature: float, placement) -> None:
-        place_image = render_placement(placement, layout, base=floor_image)
+        place_image = render_placement(placement, layout,
+                                       base=bundle.floor_image)
         connect_image = render_connectivity(bundle.netlist, placement, layout)
-        x = input_from_images(place_image, connect_image, connect_weight)
+        x = input_from_images(place_image, connect_image,
+                              bundle.connect_weight)
         start = time.perf_counter()
         if engine is not None:
             forecast01 = engine.forecast(model_id, x[0])

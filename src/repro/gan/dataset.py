@@ -9,11 +9,13 @@ are stored channel-first (C, H, W) and normalized from [0, 1] to [-1, 1]
 
 from __future__ import annotations
 
-import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from repro.nn.serialize import savez_atomic
 
 
 def to_unit_range(image01: np.ndarray) -> np.ndarray:
@@ -73,6 +75,41 @@ def input_from_images(place_image: np.ndarray, connect_image: np.ndarray,
 def target_from_image(route_image: np.ndarray) -> np.ndarray:
     """Build the (3, H, W) normalized target from a rendered heat map."""
     return _chw(to_unit_range(route_image)).astype(np.float32)
+
+
+#: The only globals a ``meta`` pickle may name: what numpy needs to
+#: rebuild an object array of plain values (``numpy.core`` before numpy 2).
+_META_GLOBALS = frozenset({
+    ("numpy.core.multiarray", "_reconstruct"),
+    ("numpy.core.multiarray", "scalar"),
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "scalar"),
+    ("numpy", "ndarray"),
+    ("numpy", "dtype"),
+})
+
+
+class _MetaUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _META_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"meta names {module}.{name}, which is not a numpy "
+                f"array reconstructor")
+        return super().find_class(module, name)
+
+
+def _read_meta(archive, path: Path) -> np.ndarray:
+    """Unpickle ``meta.npy`` from an open archive through the allowlist."""
+    with archive.zip.open("meta.npy") as handle:
+        version = np.lib.format.read_magic(handle)
+        if version == (1, 0):
+            np.lib.format.read_array_header_1_0(handle)
+        else:
+            np.lib.format.read_array_header_2_0(handle)
+        try:
+            return _MetaUnpickler(handle).load()
+        except pickle.UnpicklingError as error:
+            raise ValueError(f"{path}: {error}") from error
 
 
 @dataclass
@@ -158,12 +195,9 @@ class Dataset:
     def save(self, path: str | Path) -> None:
         """Serialize to compressed npz (arrays plus per-sample metadata).
 
-        The write is atomic: the archive is staged next to ``path`` and
-        moved into place with ``os.replace``, so an interrupted save can
-        never leave a truncated archive at the destination.
+        The write is atomic (:func:`repro.nn.serialize.savez_atomic`): an
+        interrupted save never leaves a truncated archive at ``path``.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         arrays: dict[str, np.ndarray] = {}
         meta = []
         for index, sample in enumerate(self.samples):
@@ -173,22 +207,23 @@ class Dataset:
                          sample.route_seconds, sample.place_seconds,
                          int(sample.converged), repr(sample.placer_options)))
         arrays["meta"] = np.array(meta, dtype=object)
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-        try:
-            # Write through a file object so numpy cannot append ".npz"
-            # to the staging name.
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        savez_atomic(path, arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "Dataset":
+        """Read an archive written by :meth:`save`.
+
+        The ``meta`` object array is the one pickled member; it is
+        unpickled with only numpy's array, dtype and scalar reconstructors
+        admitted, so an archive naming any other callable raises
+        ``ValueError`` instead of running it.  An archive without ``meta``
+        raises ``KeyError``.
+        """
         import ast
 
-        with np.load(Path(path), allow_pickle=True) as archive:
-            meta = archive["meta"]
+        path = Path(path)
+        with np.load(path, allow_pickle=False) as archive:
+            meta = _read_meta(archive, path)
             samples = []
             for index, row in enumerate(meta):
                 design, congestion, route_s, place_s, converged, options = row

@@ -9,14 +9,8 @@
   channel utilization, which is how a *generated* image ranks placements.
 * :func:`speedup` — routing runtime over inference runtime.
 
-The batched metric registry lives in :mod:`repro.eval.metrics`; its
-image-quality metrics (``nrms``, ``pixel_mae``/``pixel_rmse``, ``ssim``,
-the hotspot precision/recall/IoU family, ``roc_auc``) are re-exported
-here so ``repro.gan.metrics`` stays the one import for scoring a
-forecast.  The registry implementations define every edge case the naive
-formulas leave to NaN: a zero-variance target normalizes NRMS by 1
-(plain RMS error), empty hotspot sets take their limit values, and
-single-class ROC targets score AUC 1.0.
+The batched metric registry (NRMS, SSIM, hotspot and ROC metrics) lives
+in :mod:`repro.eval.metrics`.
 """
 
 from __future__ import annotations
@@ -24,33 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.viz.colors import COLOR_SCHEME, ColorScheme, decode_utilization
-
-#: Names resolved lazily from :mod:`repro.eval.metrics` (PEP 562), so the
-#: unified registry is importable from here without a circular import at
-#: package-init time.
-_EVAL_REEXPORTS = (
-    "batched_accuracy",
-    "hotspot_iou",
-    "hotspot_precision",
-    "hotspot_recall",
-    "metric_suite",
-    "nrms",
-    "pixel_mae",
-    "pixel_rmse",
-    "roc_auc",
-    "roc_curve",
-    "ssim",
-    "utilization_map",
-)
-
-
-def __getattr__(name: str):
-    if name in _EVAL_REEXPORTS:
-        from repro.eval import metrics as _eval_metrics
-
-        return getattr(_eval_metrics, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 #: Default tolerance: 16/255, i.e. a pixel counts as correct when every
 #: channel is within 16 8-bit steps of the ground truth.

@@ -174,19 +174,22 @@ class Pix2Pix:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Checkpoint both networks (and the config) to an ``.npz`` file."""
+        """Checkpoint both networks (and the config) to an ``.npz`` file.
+
+        The write is atomic (:func:`repro.nn.serialize.savez_atomic`), so
+        a reader never sees a half-written checkpoint at ``path``.
+        """
         import dataclasses
         import json
-        from pathlib import Path
 
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        from repro.nn.serialize import savez_atomic
+
         state = {f"G.{k}": v for k, v in self.generator.state_dict().items()}
         state.update(
             {f"D.{k}": v for k, v in self.discriminator.state_dict().items()})
         state["config_json"] = np.array(
             json.dumps(dataclasses.asdict(self.config)))
-        np.savez_compressed(path, **state)
+        savez_atomic(path, state)
 
     @classmethod
     def load(cls, path) -> "Pix2Pix":

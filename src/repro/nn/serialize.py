@@ -59,27 +59,33 @@ def make_header(format_name: str, version: int, **meta) -> dict:
     return {"format": format_name, "version": version, **meta}
 
 
-def write_npz(path: str | Path, arrays: dict[str, np.ndarray],
-              header: dict) -> None:
-    """Atomically write ``arrays`` plus a versioned ``header`` to ``path``.
+def savez_atomic(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``path`` as a compressed ``.npz``, atomically.
 
     The archive is staged next to ``path`` and moved into place with
     ``os.replace``, so an interrupted write never leaves a truncated
-    checkpoint at the destination.
+    archive at the destination.  It is written through a file object, so
+    numpy cannot append ``.npz`` to the staging name.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_npz(path: str | Path, arrays: dict[str, np.ndarray],
+              header: dict) -> None:
+    """Atomically write ``arrays`` plus a versioned ``header`` to ``path``."""
     if HEADER_KEY in arrays:
         raise ValueError(f"array name {HEADER_KEY!r} is reserved")
     payload = dict(arrays)
     payload[HEADER_KEY] = np.array(json.dumps(header, sort_keys=True))
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    savez_atomic(path, payload)
 
 
 def read_npz(path: str | Path, expect_format: str,

@@ -90,12 +90,6 @@ class BatchingEngine:
     cache:
         Optional :class:`ForecastCache`; hits resolve at submit time without
         touching the queue.
-    warm_start:
-        Run one full-width dummy forward per registered model when the
-        engine starts.  Forecasts go through the generators' fused
-        ``forward_eval`` path, whose workspace arena sizes its scratch to
-        the largest batch seen — warming at ``max_batch`` moves that
-        one-time allocation cost out of the first real request.
     metrics:
         A :class:`repro.obs.MetricsRegistry` to publish into (one is
         created when omitted).  Everything ``/metrics`` serves — batch
@@ -117,7 +111,6 @@ class BatchingEngine:
     def __init__(self, registry: ModelRegistry, max_batch: int = 8,
                  max_wait_ms: float = 2.0,
                  cache: ForecastCache | None = None,
-                 warm_start: bool = False,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
                  drift=None):
@@ -129,7 +122,6 @@ class BatchingEngine:
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.cache = cache
-        self.warm_start = warm_start
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.drift = drift
@@ -220,8 +212,6 @@ class BatchingEngine:
         if self._threads is not None:
             raise RuntimeError("engine is already running (or a previous "
                                "stop() timed out; see stop())")
-        if self.warm_start:
-            warm_models(self.registry, self.max_batch)
         self._stopping = False
         self._threads = [
             threading.Thread(target=self._run, args=(lane,),

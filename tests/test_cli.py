@@ -75,6 +75,44 @@ class TestCommands:
         assert (out_dir / "forecast.png").exists()
         assert (out_dir / "place.png").exists()
 
+    def test_forecast_routes_only_to_size_channels(self, tmp_path,
+                                                   monkeypatch,
+                                                   make_checkpoint):
+        """``repro forecast`` runs just the relaxed channel-sizing route,
+        and paints what ``Pix2Pix.forecast`` paints for its input."""
+        from repro.fpga import PathFinderRouter
+        from repro.gan import dataset as gan_dataset
+        from repro.viz import write_png
+
+        routed = []
+        route = PathFinderRouter.route
+
+        def recording_route(router):
+            routed.append(router.arch.channel_width)
+            return route(router)
+
+        inputs = []
+        render = gan_dataset.input_from_images
+
+        def recording_input(*args, **kwargs):
+            inputs.append(render(*args, **kwargs))
+            return inputs[-1]
+
+        monkeypatch.setattr(PathFinderRouter, "route", recording_route)
+        monkeypatch.setattr(gan_dataset, "input_from_images",
+                            recording_input)
+        checkpoint = make_checkpoint("forecaster", image_size=32)
+        out_dir = tmp_path / "forecast"
+        assert main(["forecast", "--model", str(checkpoint),
+                     "--design", "diffeq1", "--seed", "3",
+                     "--out", str(out_dir), "--scale", "smoke"]) == 0
+        assert routed == [10_000]
+        [x] = inputs
+        write_png(tmp_path / "expected.png",
+                  Pix2Pix.load(checkpoint).forecast(x[0]))
+        assert ((out_dir / "forecast.png").read_bytes()
+                == (tmp_path / "expected.png").read_bytes())
+
     def test_table2_subset(self, capsys, tmp_path):
         code = main(["table2", "--designs", "diffeq1,diffeq2",
                      "--scale", "smoke", "--seed", "4",

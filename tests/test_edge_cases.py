@@ -5,6 +5,8 @@ exhausted resources — the places where a production tool must fail loudly
 instead of producing silently wrong experiment data.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ class TestDatasetCorruption:
         np.savez(path, unrelated=np.zeros(3))
         with pytest.raises(KeyError):
             Dataset.load(path)
+
+
+    def test_load_refuses_pickled_callables(self, tmp_path):
+        """A ``meta`` that pickles a call raises before running it."""
+        sentinel = tmp_path / "sentinel"
+
+        class Touch:
+            def __reduce__(self):
+                return (Path.touch, (sentinel,))
+
+        path = tmp_path / "crafted.npz"
+        np.savez(path, meta=np.array([Touch()], dtype=object))
+        with pytest.raises(ValueError, match="crafted.npz"):
+            Dataset.load(path)
+        assert not sentinel.exists()
 
 
 class TestDegenerateNetlists:

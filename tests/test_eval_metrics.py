@@ -202,17 +202,3 @@ class TestRegistry:
         for metric in METRICS.values():
             assert metric.description
 
-
-class TestGanMetricsShim:
-    def test_reexports_resolve(self):
-        from repro.gan import metrics as gan_metrics
-
-        assert gan_metrics.nrms is nrms
-        assert gan_metrics.ssim is ssim
-        assert gan_metrics.hotspot_precision is hotspot_precision
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.gan import metrics as gan_metrics
-
-        with pytest.raises(AttributeError):
-            gan_metrics.no_such_metric

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.config import SMOKE
-from repro.flows import build_design_bundle, build_suite_bundles, sweep_placer_options
+from repro.flows import (
+    build_design_bundle,
+    build_suite_bundles,
+    route_and_render,
+    sweep_placer_options,
+)
+from repro.fpga import PlacerOptions, SimulatedAnnealingPlacer
 from repro.fpga.generators import DesignSpec, scaled_suite
 
 
@@ -91,6 +97,35 @@ class TestBundle:
         assert (cached.placements[0].site_of
                 == fresh.placements[0].site_of)
 
+    def test_cache_hit_anneals_only_to_size_channels(self, tmp_path,
+                                                     monkeypatch):
+        """A cache hit places nothing but the channel-sizing probe until
+        ``placements`` is read."""
+        spec = scaled_suite(SMOKE)[1]
+        build_design_bundle(spec, SMOKE, num_placements=3, seed=3,
+                            cache_dir=tmp_path)
+        anneals = []
+        place = SimulatedAnnealingPlacer.place
+
+        def counting_place(placer, *args, **kwargs):
+            anneals.append(placer)
+            return place(placer, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedAnnealingPlacer, "place", counting_place)
+        cached = build_design_bundle(spec, SMOKE, num_placements=3, seed=3,
+                                     cache_dir=tmp_path)
+        assert len(anneals) <= 1
+        assert len(cached.placements) == 3
+        assert len(anneals) <= 4
+
+    def test_replayed_placements_are_the_routed_ones(self, bundle):
+        """Each lazily replayed placement has the sites its sample was
+        routed and rendered from."""
+        for sample, placement in zip(bundle.dataset, bundle.placements):
+            _, routed = route_and_render(
+                bundle, PlacerOptions(**sample.placer_options))
+            assert placement.site_of == routed.site_of
+
     def test_cache_is_a_sharded_store(self, tmp_path):
         from repro.data import ShardedStore
 
@@ -105,28 +140,26 @@ class TestBundle:
         assert "channel_width" in store.metadata
         assert store.verify() == []
 
-    def test_legacy_single_file_cache_converted(self, tmp_path):
-        """Old <stem>.npz + <stem>.json caches load via conversion."""
-        import json
 
-        from repro.data import ShardedStore
+class TestSweepLoop:
+    def test_spawned_workers_match_serial_hashes(self, tmp_path,
+                                                 monkeypatch):
+        """The design context survives the pickle into spawned workers
+        (the start method where fork is unavailable)."""
+        import multiprocessing
 
-        from repro.flows.datagen import _SWEEP_VERSION
+        import repro.data.parallel as parallel
+        from repro.data import build_design_store
 
-        spec = scaled_suite(SMOKE)[1]
-        fresh = build_design_bundle(spec, SMOKE, num_placements=2, seed=3)
-        stem = (f"{SMOKE.name}_{spec.name}_n2_s3"
-                f"_w{fresh.layout.image_size}_cw{SMOKE.connect_weight}"
-                f"_v{_SWEEP_VERSION}")
-        fresh.dataset.save(tmp_path / f"{stem}.npz")
-        (tmp_path / f"{stem}.json").write_text(json.dumps(
-            {"channel_width": fresh.channel_width, "grid_width": 5}))
-        cached = build_design_bundle(spec, SMOKE, num_placements=2, seed=3,
-                                     cache_dir=tmp_path)
-        assert ShardedStore.is_store(tmp_path / stem)
-        assert cached.channel_width == fresh.channel_width
-        np.testing.assert_array_equal(cached.dataset[1].x,
-                                      fresh.dataset[1].x)
+        spec = scaled_suite(SMOKE)[0]
+        serial = build_design_store(spec, SMOKE, tmp_path / "serial",
+                                    num_placements=4, seed=3, shard_size=2)
+        monkeypatch.setattr(parallel, "_pool_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        spawned = build_design_store(spec, SMOKE, tmp_path / "spawned",
+                                     num_placements=4, seed=3, workers=2,
+                                     shard_size=2)
+        assert spawned.sample_hashes == serial.sample_hashes
 
 
 class TestSuiteBundles:

@@ -79,13 +79,12 @@ class TestAblation:
                 > AblationResult.loss_roughness(smooth))
 
     def test_requires_two_samples(self, bundle):
+        import dataclasses
+
         from repro.gan.dataset import Dataset
 
-        tiny = type(bundle)(
-            spec=bundle.spec, netlist=bundle.netlist, arch=bundle.arch,
-            layout=bundle.layout, dataset=Dataset([bundle.dataset[0]]),
-            channel_width=bundle.channel_width,
-            placements=bundle.placements[:1])
+        tiny = dataclasses.replace(bundle,
+                                   dataset=Dataset([bundle.dataset[0]]))
         with pytest.raises(ValueError):
             run_ablation(SMOKE, tiny, epochs=1)
 

@@ -3,6 +3,7 @@
 import io
 import json
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +285,29 @@ class TestPix2PixCheckpointValidation:
 
         with pytest.raises(ValueError, match=dropped[2:].replace(".", r"\.")):
             Pix2Pix.load(tmp_path / "bad.npz")
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path,
+                                                       tiny_model,
+                                                       monkeypatch):
+        """A save that dies mid-write leaves the old file and no stage."""
+        path = tmp_path / "model.npz"
+        tiny_model.save(path)
+        before = path.read_bytes()
+
+        def torn_write(file, **arrays):
+            # A few bytes into whatever numpy was handed: a path or a handle.
+            torn = b"PK\x03\x04torn"
+            if hasattr(file, "write"):
+                file.write(torn)
+            else:
+                Path(file).write_bytes(torn)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            tiny_model.save(path)
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["model.npz"]
 
     def test_save_load_forecast_roundtrip(self, tmp_path, tiny_model):
         """Checkpoint -> restore -> forecast is bitwise-stable."""
