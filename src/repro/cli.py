@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=8,
                        help="requests stacked into one generator forward")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="how long an open batch waits for stragglers")
+                       help="how long an open batch waits for stragglers "
+                            "(only on the first batch and after a batch "
+                            "of more than one request)")
     serve.add_argument("--cache-size", type=int, default=256,
                        help="forecast LRU capacity (0 disables caching)")
     serve.add_argument("--verbose", action="store_true",
@@ -365,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="micro-batch size (batches form at the "
                                "router)")
     fleet_up.add_argument("--max-wait-ms", type=float, default=2.0,
-                          help="batch wait for stragglers")
+                          help="batch wait for stragglers (per worker "
+                               "lane: only on its first batch and after "
+                               "a batch of more than one request)")
     fleet_up.add_argument("--cache-size", type=int, default=256,
                           help="shared forecast LRU capacity "
                                "(0 disables caching)")

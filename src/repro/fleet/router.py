@@ -319,7 +319,7 @@ class FleetRouter(BatchingEngine):
     ``registry`` holds the served models' metadata in this process (for
     validation and ``/v1/models``); the forwards run in the workers.
     ``max_batch`` and ``max_wait_ms`` shape the batches formed here, at
-    the front.
+    the front; each worker's lane follows the engine's hold policy.
     """
 
     def __init__(self, workers: list, registry: ModelRegistry,

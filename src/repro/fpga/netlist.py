@@ -8,8 +8,10 @@ each driven by one block and fanning out to one or more sinks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
+import numpy as np
 
 from repro.fpga.arch import BlockType
 
@@ -113,6 +115,23 @@ class Netlist:
     def nets_of_block(self, block_id: int) -> tuple[int, ...]:
         """Ids of nets incident to a block (used for incremental cost)."""
         return self._block_nets[block_id]
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(drivers, sinks)``: the block ids at the two ends of every
+        driver-to-sink edge (E' of the paper's Graph(V, E')), net by net."""
+        drivers = [net.driver for net in self.nets for _ in net.sinks]
+        sinks = [sink for net in self.nets for sink in net.sinks]
+        return (np.array(drivers, dtype=np.intp),
+                np.array(sinks, dtype=np.intp))
+
+    @cached_property
+    def type_index(self) -> np.ndarray:
+        """Each block's type as its position in ``BlockType``, for
+        vectorized per-type lookups such as block heights."""
+        order = list(BlockType)
+        return np.array([order.index(block.type) for block in self.blocks],
+                        dtype=np.intp)
 
     def average_fanout(self) -> float:
         if not self.nets:

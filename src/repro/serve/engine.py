@@ -1,12 +1,19 @@
 """Micro-batching inference engine.
 
 Requests from any number of client threads are funneled into one queue; a
-worker thread per *lane* drains it, groups up to ``max_batch`` requests
-(waiting at most ``max_wait_ms`` for stragglers once the first arrives),
+worker thread per *lane* drains it, groups up to ``max_batch`` requests,
 stacks each model's inputs into one NCHW batch, and runs a single generator
 forward per model on its lane.  A plain engine has one lane, running
 forwards in this process; :class:`repro.fleet.router.FleetRouter` is the
 same engine with one lane per worker process.
+
+Hold policy: a lane always takes every request already queued.  It also
+holds the batch open for up to ``max_wait_ms`` for stragglers, but only on
+its first batch and after a batch of more than one request.  After a lone
+request it serves the next one at once: a caller that is alone (a placer
+asking for one forecast at a time) never waits for company that is not
+coming, while concurrent traffic, which keeps producing batches of more
+than one, keeps filling them.
 
 Because deterministic inference is batch-invariant (see
 :meth:`repro.gan.Pix2Pix.forecast`), a request's result is bitwise the same
@@ -84,9 +91,11 @@ class BatchingEngine:
     max_batch:
         Largest number of requests stacked into one forward.
     max_wait_ms:
-        How long the worker holds an open batch for more arrivals after the
-        first request.  ``0`` serves every request immediately (batch of
-        whatever is already queued).
+        How long a lane holds an open batch for more arrivals after the
+        first request.  A lane holds on its first batch and after a batch
+        of more than one request; after a lone request it serves at once
+        (see the module docstring).  ``0`` never holds: every batch is
+        whatever is already queued.
     cache:
         Optional :class:`ForecastCache`; hits resolve at submit time without
         touching the queue.
@@ -358,6 +367,10 @@ class BatchingEngine:
     def _run(self, lane) -> None:
         # Per-lane stacking buffers: lanes stack concurrently.
         buffers: dict[tuple, np.ndarray] = {}
+        # Hold a batch open only while traffic has been concurrent: after
+        # a lone request the next caller is most likely alone too, and a
+        # hold would only delay it.  A fresh lane holds.
+        hold = True
         while True:
             try:
                 first = self._queue.get(timeout=0.1)
@@ -367,7 +380,8 @@ class BatchingEngine:
             if first is _STOP:
                 return
             batch = [first]
-            deadline = time.perf_counter() + self.max_wait_ms / 1000.0
+            deadline = time.perf_counter() + (
+                self.max_wait_ms / 1000.0 if hold else 0.0)
             stop_after = False
             while len(batch) < self.max_batch:
                 # Drain without timeout bookkeeping while requests are
@@ -387,6 +401,7 @@ class BatchingEngine:
                     stop_after = True
                     break
                 batch.append(item)
+            hold = len(batch) > 1
             self._serve_batch(batch, lane, buffers)
             if stop_after:
                 return

@@ -17,7 +17,7 @@ checkpoint file is self-describing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +69,27 @@ class TrainCursor:
         }
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "TrainCursor":
-        return cls(**{name: meta[name] for name in (
-            "phase", "epoch", "step", "global_step", "loss_lines",
-            "eval_lines", "loss_count", "order_state", "best_value",
-            "best_epoch", "rng_states")})
+    def from_meta(cls, meta, path: str | Path) -> "TrainCursor":
+        """The cursor stored in ``path``'s header.
+
+        A cursor that is not a JSON object, lacks a field, or carries
+        ``rng_states`` that are not an object raises
+        :class:`CheckpointError` naming ``path``.
+        """
+        if not isinstance(meta, dict):
+            raise CheckpointError(
+                f"{path} header's train cursor is {meta!r:.40}, expected "
+                f"a JSON object")
+        names = [item.name for item in fields(cls)]
+        missing = [name for name in names if name not in meta]
+        if missing:
+            raise CheckpointError(
+                f"{path} header's train cursor lacks {', '.join(missing)}")
+        if not isinstance(meta["rng_states"], dict):
+            raise CheckpointError(
+                f"{path} header's train cursor has rng_states "
+                f"{meta['rng_states']!r:.40}, expected a JSON object")
+        return cls(**{name: meta[name] for name in names})
 
 
 def save_train_state(path: str | Path, model: Pix2Pix,
@@ -109,7 +125,8 @@ def load_train_state(path: str | Path, model: Pix2Pix,
     same seed); weight/optimizer/rng mismatches raise with the offending
     keys named.  When both sides carry a spec hash they must agree —
     resuming a run directory with an edited ``spec.json`` is an error,
-    not a silent divergence.
+    not a silent divergence.  The cursor and the loss sums are checked
+    before anything is loaded into ``model``.
     """
     arrays, header = read_npz(path, TRAIN_STATE_FORMAT, TRAIN_STATE_VERSION)
     saved_sha = header.get("spec_sha")
@@ -118,6 +135,9 @@ def load_train_state(path: str | Path, model: Pix2Pix,
             f"{path} was written under a different spec "
             f"({saved_sha[:12]} vs {spec_sha[:12]}); refusing to resume "
             f"a run whose spec.json changed")
+    cursor = TrainCursor.from_meta(header.get("cursor"), path)
+    if "loss_sums" not in arrays:
+        raise CheckpointError(f"{path} has no loss_sums array")
     split: dict[str, dict[str, np.ndarray]] = {p: {} for p in _PREFIXES}
     for name, value in arrays.items():
         for prefix in _PREFIXES:
@@ -133,7 +153,6 @@ def load_train_state(path: str | Path, model: Pix2Pix,
     load_optimizer_state_dict(model.opt_g, split["optG."])
     load_optimizer_state_dict(model.opt_d, split["optD."])
 
-    cursor = TrainCursor.from_meta(header["cursor"])
     rng_states = cursor.rng_states
     restore_module_rng_states(
         model.generator,

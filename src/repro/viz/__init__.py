@@ -18,7 +18,7 @@ from repro.viz.colors import (
 from repro.viz.connectivity import render_connectivity
 from repro.viz.layout import FloorplanLayout, minimum_image_size
 from repro.viz.png import read_png, write_png, write_ppm
-from repro.viz.raster import Canvas, draw_line_accumulate
+from repro.viz.raster import Canvas
 from repro.viz.render import (
     difference_image,
     render_floorplan,
@@ -33,7 +33,6 @@ __all__ = [
     "FloorplanLayout",
     "decode_utilization",
     "difference_image",
-    "draw_line_accumulate",
     "minimum_image_size",
     "read_png",
     "render_connectivity",

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fpga.arch import BlockType
 from repro.fpga.netlist import Netlist
 from repro.fpga.placement import Placement
 from repro.viz.layout import FloorplanLayout
-from repro.viz.raster import draw_line_accumulate
+from repro.viz.raster import line_pixels
 
 
 def render_connectivity(netlist: Netlist, placement: Placement,
@@ -24,19 +25,20 @@ def render_connectivity(netlist: Netlist, placement: Placement,
     ``log_compress`` applies log1p before normalization so that a few very
     dense bundles do not crush the rest of the image to black — the same
     effect as the alpha-blended vector rendering the paper converts from.
+
+    Each pixel counts the edges drawn through it.  The counts are small
+    integers, exact in float32, so the image does not depend on the order
+    the edges are drawn in.
     """
     size = layout.image_size
-    accumulator = np.zeros((size, size), dtype=np.float32)
-    centers: dict[int, tuple[int, int]] = {}
-    for block in netlist.blocks:
-        centers[block.id] = layout.block_center(
-            placement.site_of[block.id], block.type)
-
-    for net in netlist.nets:
-        x0, y0 = centers[net.driver]
-        for sink in net.sinks:
-            x1, y1 = centers[sink]
-            draw_line_accumulate(accumulator, x0, y0, x1, y1, 1.0)
+    heights = np.array([layout.arch.block_height(block_type)
+                        for block_type in BlockType])[netlist.type_index]
+    cols, rows = layout.block_centers(placement.xs, placement.ys, heights)
+    drivers, sinks = netlist.edges
+    _, x, y = line_pixels(cols[drivers], rows[drivers], cols[sinks],
+                          rows[sinks], size, size)
+    accumulator = np.bincount(y * size + x, minlength=size * size).astype(
+        np.float32).reshape(size, size)
 
     if log_compress:
         accumulator = np.log1p(accumulator)

@@ -73,6 +73,10 @@ class FloorplanLayout:
         self.image_size = image_size
         self._x_spans = _boundaries(arch.width, image_size)
         self._y_spans = _boundaries(arch.height, image_size)
+        # The same spans as (elements, 2) arrays, for vectorized lookups;
+        # the rect helpers keep the lists so that rects hold Python ints.
+        self._x_span_array = np.array(self._x_spans)
+        self._y_span_array = np.array(self._y_spans)
 
     # -- axis helpers ------------------------------------------------------------
     # Along-axis element order: index 0 = io, 1 = chan 0, 2 = tile 1,
@@ -155,11 +159,23 @@ class FloorplanLayout:
         y0, y1 = self._tile_span_y(y)
         return x0, y0, x1, y1
 
-    def block_center(self, site: Site, block_type: BlockType
-                     ) -> tuple[int, int]:
-        """Center pixel (col, row) of a block, for connectivity lines."""
-        x0, y0, x1, y1 = self.block_rect(site, block_type)
-        return (x0 + x1) // 2, (y0 + y1) // 2
+    def block_centers(self, xs: np.ndarray, ys: np.ndarray,
+                      heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Center pixels ``(cols, rows)`` of blocks, for connectivity lines.
+
+        Block ``i`` is anchored at tile ``(xs[i], ys[i])`` and spans
+        ``heights[i]`` rows; its center is that of its :meth:`block_rect`,
+        ``((x0 + x1) // 2, (y0 + y1) // 2)``.  Along each axis tile ``t``
+        is element ``2 t`` of the spans, and so are the I/O rings at
+        ``t = 0`` and ``t = N + 1``, so pads need no case of their own.
+        """
+        cols = self._x_span_array[2 * xs].sum(axis=1) // 2
+        # Rows are flipped: the rect runs from the top row's start to the
+        # anchor row's end, each measured down from the image top.
+        top_end = self._y_span_array[2 * (ys + heights - 1), 1]
+        anchor_start = self._y_span_array[2 * ys, 0]
+        rows = (2 * self.image_size - top_end - anchor_start) // 2
+        return cols, rows
 
     def channel_pixel_mask(self) -> np.ndarray:
         """Boolean (size, size) mask of all routing-channel pixels."""

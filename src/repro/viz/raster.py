@@ -39,30 +39,41 @@ class Canvas:
         return np.clip(np.rint(self.pixels * 255.0), 0, 255).astype(np.uint8)
 
 
-def draw_line_accumulate(buffer: np.ndarray, x0: int, y0: int,
-                         x1: int, y1: int, intensity: float = 1.0) -> None:
-    """Add ``intensity`` along the Bresenham line into a 2-D buffer.
+def line_pixels(x0, y0, x1, y1, width: int, height: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Bresenham pixels of many lines at once, clipped to the canvas.
 
-    Used by the connectivity image: overlapping nets accumulate, so dense
-    bundles of edges show up brighter (the vector-to-bitmap conversion of
-    Section 4.2).
+    Lines run from ``(x0, y0)`` to ``(x1, y1)`` (integer arrays of one
+    length, pixel ``(col, row)`` coordinates, endpoints included).
+    Returns ``(line, x, y)``: one entry per plotted pixel that lies on the
+    ``width`` x ``height`` canvas, ``line`` indexing the input arrays.
+
+    Closed form of the error-accumulating Bresenham loop: a line with
+    ``n = max(|dx|, |dy|)`` and ``m = min(|dx|, |dy|)`` plots ``k = 0..n``
+    along its major axis (x when ``|dx| >= |dy|``) and
+    ``floor((2 m k + n) / (2 n))`` along its minor axis, each stepped by
+    the sign of its delta.  Every line's pixels come from one
+    ``np.repeat`` of the per-line parameters, so the cost is numpy work
+    per pixel, not Python work per line.
     """
-    height, width = buffer.shape
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    x, y = x0, y0
-    while True:
-        if 0 <= x < width and 0 <= y < height:
-            buffer[y, x] += intensity
-        if x == x1 and y == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
+    x0, y0, x1, y1 = (np.asarray(a, dtype=np.intp) for a in (x0, y0, x1, y1))
+    dx, dy = x1 - x0, y1 - y0
+    x_major = np.abs(dx) >= np.abs(dy)
+    n = np.maximum(np.abs(dx), np.abs(dy))
+    m = np.minimum(np.abs(dx), np.abs(dy))
+    counts = n + 1
+    sx, sy = np.sign(dx), np.sign(dy)
+    # Per line: its index, its first pixel's position in the output, its
+    # start point, the x and y step per major step and per minor step.
+    per_line = np.stack([
+        np.arange(counts.size), np.cumsum(counts) - counts, x0, y0,
+        sx * x_major, sx * ~x_major, sy * ~x_major, sy * x_major, m, n])
+    line, first, px, py, xk, xj, yk, yj, m_k, n_k = np.repeat(
+        per_line, counts, axis=1)
+    k = np.arange(line.size) - first
+    # n == 0 is a single point: any positive divisor gives offset 0.
+    minor = (2 * m_k * k + n_k) // np.maximum(2 * n_k, 1)
+    x = px + xk * k + xj * minor
+    y = py + yk * k + yj * minor
+    inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    return line[inside], x[inside], y[inside]

@@ -55,6 +55,30 @@ def make_tiny_model(seed: int = 1, image_size: int = 16,
     return model
 
 
+#: Ways to damage a train-state checkpoint that ``load_train_state`` must
+#: refuse before it loads anything: each edits the ``(header, arrays)``
+#: pair read back from the archive.
+TRAIN_STATE_DAMAGE = {
+    "missing-cursor": lambda header, arrays: header.pop("cursor"),
+    "non-object-cursor": lambda header, arrays: header.update(cursor=[0]),
+    "missing-field": lambda header, arrays: header["cursor"].pop("step"),
+    "non-object-rng-states": lambda header, arrays: header["cursor"].update(
+        rng_states=["G.dropout"]),
+    "missing-loss-sums": lambda header, arrays: arrays.pop("loss_sums"),
+}
+
+
+def damage_train_state(path, damage: str) -> None:
+    """Rewrite the train-state checkpoint at ``path`` with one of
+    :data:`TRAIN_STATE_DAMAGE`."""
+    from repro.nn.serialize import read_npz, write_npz
+    from repro.train.checkpoint import TRAIN_STATE_FORMAT, TRAIN_STATE_VERSION
+
+    arrays, header = read_npz(path, TRAIN_STATE_FORMAT, TRAIN_STATE_VERSION)
+    TRAIN_STATE_DAMAGE[damage](header, arrays)
+    write_npz(path, arrays, header)
+
+
 @pytest.fixture(scope="session")
 def tiny_model() -> Pix2Pix:
     return make_tiny_model()

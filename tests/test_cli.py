@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.gan import Dataset, Pix2Pix
+from tests.conftest import TRAIN_STATE_DAMAGE, damage_train_state
 
 
 class TestParser:
@@ -133,6 +134,21 @@ class TestTrainResumeCommand:
         latest = root / "runs" / "legacy" / "checkpoints" / \
             "step_00000006.npz"
         latest.write_bytes(latest.read_bytes()[:latest.stat().st_size // 2])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "resume", "runs/legacy"])
+        message = str(exit_info.value.code)
+        assert message.startswith("error: ")
+        assert "step_00000006.npz" in message
+
+    @pytest.mark.parametrize("damage", sorted(TRAIN_STATE_DAMAGE))
+    def test_damaged_header_exits_with_error(self, tmp_path, monkeypatch,
+                                             damage):
+        root = tmp_path / "fixture"
+        shutil.copytree(Path(__file__).parent / "fixtures" / "train_resume",
+                        root)
+        monkeypatch.chdir(root)          # the spec says "store:store"
+        damage_train_state(root / "runs" / "legacy" / "checkpoints"
+                           / "step_00000006.npz", damage)
         with pytest.raises(SystemExit) as exit_info:
             main(["train", "resume", "runs/legacy"])
         message = str(exit_info.value.code)

@@ -517,7 +517,9 @@ class TestRouterFailover:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 16, 16)).astype(np.float32)
         # No retry budget, and a batch window wide enough to hold all
-        # three requests: the crash must fail them, typed and fast.
+        # three requests (this relies on a fresh lane holding its first
+        # batch open for max_wait_ms): the crash must fail them, typed
+        # and fast.
         router = FleetRouter.local(ckpt, workers=1, retry_budget=0,
                                    max_wait_ms=500.0)
         with router:

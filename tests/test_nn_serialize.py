@@ -27,6 +27,8 @@ from repro.nn.serialize import (
     validate_state_dict,
     write_npz,
 )
+from tests.conftest import (TRAIN_STATE_DAMAGE, damage_train_state,
+                            make_tiny_model)
 
 
 def small_module(seed: int = 0) -> Sequential:
@@ -350,6 +352,27 @@ def load_archive(kind: str, path) -> None:
         load_train_state(path, make_tiny_model(train_steps=0))
     else:
         Pix2Pix.load(path)
+
+
+class TestDamagedTrainStateHeader:
+    """A train-state header whose cursor or loss sums are unusable raises
+    ``CheckpointError`` naming the file, before the model is touched."""
+
+    @pytest.mark.parametrize("damage", sorted(TRAIN_STATE_DAMAGE))
+    def test_refused_before_loading(self, saved_archives, tmp_path, damage):
+        from repro.train.checkpoint import load_train_state
+
+        path = tmp_path / "damaged.npz"
+        path.write_bytes((saved_archives / "train-state.npz").read_bytes())
+        damage_train_state(path, damage)
+        model = make_tiny_model(train_steps=0)
+        before = {name: value.copy()
+                  for name, value in model.generator.state_dict().items()}
+        with pytest.raises(CheckpointError, match="damaged.npz"):
+            load_train_state(path, model)
+        after = model.generator.state_dict()
+        for name, value in before.items():
+            np.testing.assert_array_equal(after[name], value, err_msg=name)
 
 
 def damage_archive(data: bytes, damage: str) -> bytes:

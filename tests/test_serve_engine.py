@@ -64,6 +64,39 @@ class TestBatching:
                                             timeout=30.0)
         assert result.cached is False
 
+    def test_lone_request_after_lone_request_is_not_held(
+            self, registry, tiny_inputs):
+        with BatchingEngine(registry, max_batch=8,
+                            max_wait_ms=500.0) as engine:
+            engine.forecast("tiny", tiny_inputs[0], timeout=30.0)
+            start = time.perf_counter()
+            engine.forecast("tiny", tiny_inputs[1], timeout=30.0)
+            elapsed = time.perf_counter() - start
+            stats = engine.stats()
+        assert stats["batch_occupancy_histogram"] == {"1": 2}
+        assert elapsed < 0.25
+
+    def test_lane_holds_again_after_a_shared_batch(self, registry,
+                                                   tiny_inputs):
+        with BatchingEngine(registry, max_batch=8,
+                            max_wait_ms=500.0) as engine:
+            # A fresh lane holds, so the first two ride one batch.
+            for future in [engine.submit("tiny", x)
+                           for x in tiny_inputs[:2]]:
+                future.result(timeout=30.0)
+            assert engine.stats()["batches"] == 1
+            # After a batch of two the lane holds again: eight requests
+            # arriving 20 ms apart, each slower than a tiny forward, still
+            # share one batch.
+            futures = []
+            for x in tiny_inputs[2:10]:
+                futures.append(engine.submit("tiny", x))
+                time.sleep(0.02)
+            for future in futures:
+                future.result(timeout=30.0)
+            stats = engine.stats()
+        assert stats["batch_occupancy_histogram"] == {"2": 1, "8": 1}
+
     def test_concurrent_submitters(self, registry, tiny_model, tiny_inputs):
         results: list = [None] * len(tiny_inputs)
 

@@ -233,8 +233,9 @@ class TestErrors:
     def test_forecast_timeout_returns_504(self, tiny_model):
         registry = ModelRegistry()
         registry.register("tiny", tiny_model)
-        # A long batching window plus a zero timeout guarantees the future
-        # is still pending when the handler gives up.
+        # A zero timeout and a long batching window keep the future
+        # pending when the handler gives up: this relies on a fresh
+        # lane holding its first batch open for max_wait_ms.
         engine = BatchingEngine(registry, max_batch=8, max_wait_ms=500.0)
         with ForecastServer(engine, port=0, forecast_timeout=0.0) as running:
             with pytest.raises(ClientError) as excinfo:

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.config import SMOKE
+from repro.flows.datagen import prepare_design
 from repro.fpga import (
     BlockType,
     DesignSpec,
     PathFinderRouter,
     Placement,
+    PlacerOptions,
+    SimulatedAnnealingPlacer,
     generate_design,
     paper_architecture,
 )
-from repro.fpga.generators import minimum_architecture_size
+from repro.fpga.generators import minimum_architecture_size, scaled_suite
 from repro.viz import (
     COLOR_SCHEME,
     FloorplanLayout,
@@ -22,6 +26,7 @@ from repro.viz import (
     render_placement,
     render_routing,
 )
+from tests.reference_raster import reference_connectivity
 
 
 @pytest.fixture(scope="module")
@@ -111,10 +116,18 @@ class TestLayout:
         assert y1 - y0 > ty1 - ty0  # taller than a single tile
 
     def test_block_center_inside_rect(self, arch, layout):
-        site = arch.clb_sites[0]
-        cx, cy = layout.block_center(site, BlockType.CLB)
-        x0, y0, x1, y1 = layout.block_rect(site, BlockType.CLB)
-        assert x0 <= cx < x1 and y0 <= cy < y1
+        sites = [(site, block_type)
+                 for block_type in BlockType
+                 for site in arch.sites_for(block_type)]
+        cols, rows = layout.block_centers(
+            np.array([site.x for site, _ in sites]),
+            np.array([site.y for site, _ in sites]),
+            np.array([arch.block_height(block_type)
+                      for _, block_type in sites]))
+        for (site, block_type), col, row in zip(sites, cols, rows):
+            x0, y0, x1, y1 = layout.block_rect(site, block_type)
+            assert (col, row) == ((x0 + x1) // 2, (y0 + y1) // 2)
+            assert x0 <= col < x1 and y0 <= row < y1
 
     def test_channel_mask_fraction_sane(self, layout):
         mask = layout.channel_pixel_mask()
@@ -234,3 +247,26 @@ class TestConnectivity:
                                          log_compress=True)
         # Log compression lifts mid-range values relative to the peak.
         assert compressed[raw > 0].mean() >= raw[raw > 0].mean()
+
+    @pytest.mark.parametrize("spec", scaled_suite(SMOKE),
+                             ids=lambda spec: spec.name)
+    def test_bitwise_equal_to_reference_loop(self, spec):
+        """Every suite design at smoke scale, placements from random to
+        annealed, both compressions: the vectorized raster is bitwise the
+        per-edge loop."""
+        netlist, arch, _, image_size = prepare_design(spec, SMOKE)
+        layout = FloorplanLayout(arch, image_size)
+        placements = [Placement.random(netlist, arch,
+                                       np.random.default_rng(seed))
+                      for seed in range(3)]
+        placements.append(SimulatedAnnealingPlacer(
+            netlist, arch, PlacerOptions(seed=1, inner_num=0.5)
+        ).place().placement)
+        for placement in placements:
+            for log_compress in (True, False):
+                image = render_connectivity(netlist, placement, layout,
+                                            log_compress=log_compress)
+                expected = reference_connectivity(
+                    netlist, placement, layout, log_compress=log_compress)
+                assert image.dtype == expected.dtype == np.float32
+                assert image.tobytes() == expected.tobytes()

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.viz import Canvas, draw_line_accumulate, read_png, write_png, write_ppm
+from repro.viz import Canvas, read_png, write_png, write_ppm
+from repro.viz.raster import line_pixels
+from tests.reference_raster import draw_line_accumulate
 
 
 class TestCanvas:
@@ -73,6 +75,51 @@ class TestLineDrawing:
         draw_line_accumulate(buf, x0, y0, x1, y1)
         assert buf[y0, x0] >= 1.0
         assert buf[y1, x1] >= 1.0
+
+
+def per_line_images(x0, y0, x1, y1, size: int) -> np.ndarray:
+    """(lines, size, size) pixel counts of each line from ``line_pixels``."""
+    line, x, y = line_pixels(x0, y0, x1, y1, size, size)
+    counts = np.bincount((line * size + y) * size + x,
+                         minlength=len(x0) * size * size)
+    return counts.reshape(len(x0), size, size)
+
+
+def reference_images(x0, y0, x1, y1, size: int) -> np.ndarray:
+    """The same, one reference loop per line."""
+    images = np.zeros((len(x0), size, size), dtype=np.float32)
+    for index, line in enumerate(zip(x0, y0, x1, y1)):
+        draw_line_accumulate(images[index], *map(int, line))
+    return images
+
+
+class TestClosedFormLines:
+    """``line_pixels`` plots exactly the reference loop's pixels."""
+
+    def test_every_short_line_matches_reference(self):
+        # Every line with endpoints in [-2, 14)^2 on a 12 px grid: all
+        # octants, all lengths up to the grid, points, and lines that
+        # leave and re-enter the canvas.
+        span = np.arange(-2, 14)
+        x0, y0, x1, y1 = (axis.ravel() for axis in np.meshgrid(
+            span, span, span, span, indexing="ij"))
+        for chunk in np.array_split(np.arange(x0.size), 8):
+            lines = x0[chunk], y0[chunk], x1[chunk], y1[chunk]
+            np.testing.assert_array_equal(per_line_images(*lines, 12),
+                                          reference_images(*lines, 12))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-40, 295)] * 4),
+                    min_size=1, max_size=6))
+    def test_long_lines_match_reference(self, lines):
+        x0, y0, x1, y1 = (np.array(axis) for axis in zip(*lines))
+        np.testing.assert_array_equal(per_line_images(x0, y0, x1, y1, 256),
+                                      reference_images(x0, y0, x1, y1, 256))
+
+    def test_no_lines_no_pixels(self):
+        empty = np.zeros(0, dtype=int)
+        line, x, y = line_pixels(empty, empty, empty, empty, 4, 4)
+        assert line.size == x.size == y.size == 0
 
 
 class TestPngCodec:
