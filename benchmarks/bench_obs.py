@@ -1,16 +1,17 @@
 """Observability overhead: the <3% no-perturbation budget, measured.
 
-Runs one tiny training workload three ways — instrumentation fully off,
-fully on (telemetry events + span tracing into the run directory), and
-fully on *plus* fleet publishing (a metrics registry counting steps and
-a background publisher snapshotting it to disk every second) —
-alternating repetitions and keeping the best wall time of each, and
-gates both the instrumented/uninstrumented and published/instrumented
-ratios at 3%.  The artifact-level guarantee (byte-identical checkpoints
-and logs) is pinned by ``tests/test_obs_integration.py``; this bench
-pins the *time* side of the contract and micro-benches the hot paths
-that make it cheap: the disabled no-op span, a histogram observation,
-an atomic snapshot publish, and a 4-worker exact merge.
+Runs one tiny training workload three ways — instrumentation fully off
+(a disabled tracer), fully on (the default: span tracing into the run
+directory's ``trace.jsonl``), and fully on *plus* fleet publishing (a
+metrics registry counting steps and a background publisher snapshotting
+it to disk every second) — alternating repetitions and keeping the best
+wall time of each, and gates both the instrumented/uninstrumented and
+published/instrumented ratios at 3%.  The artifact-level guarantee
+(byte-identical checkpoints and logs) is pinned by
+``tests/test_obs_integration.py``; this bench pins the *time* side of
+the contract and micro-benches the hot paths that make it cheap: the
+disabled no-op span, a histogram observation, an atomic snapshot
+publish, and a 4-worker exact merge.
 """
 
 import time
@@ -61,7 +62,7 @@ def _timed_run(root, name: str, dataset: Dataset, instrumented: bool,
                      eval=EvalSpec(every_epochs=1))
     metrics = MetricsRegistry() if publish else None
     runner = Runner.create(spec, root, dataset=dataset,
-                           telemetry=instrumented, trace=instrumented,
+                           tracer=None if instrumented else Tracer(None),
                            metrics=metrics)
     publisher = None
     if publish:
@@ -164,7 +165,7 @@ def test_obs_overhead(tmp_path, scale):
         f"  uninstrumented run: {best_off:8.3f} s "
         f"({steps / best_off:6.1f} steps/s)",
         f"  instrumented run:   {best_on:8.3f} s  "
-        f"(telemetry + tracing, overhead {overhead:+.2%})",
+        f"(span tracing, overhead {overhead:+.2%})",
         f"  + fleet publishing: {best_fleet:8.3f} s  "
         f"(registry + snapshots, overhead {publish_overhead:+.2%})",
         f"  disabled span():    {span_ns:8.0f} ns/call (no-op singleton)",

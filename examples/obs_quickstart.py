@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Observability quickstart: one instrumented run, four views of it.
 
-1. Train a tiny model with telemetry and span tracing enabled — timing
-   events land in ``telemetry.jsonl``, spans in ``trace.jsonl``, and
-   (the whole point) the model artifacts are byte-identical to an
-   uninstrumented run's.
-2. Read the run back: the throughput summary and the span table, the
-   same aggregates ``repro obs summary`` / ``repro obs trace`` print.
+1. Train a tiny model.  Its run directory records every step, epoch,
+   eval and checkpoint as a span in ``trace.jsonl``, and (the whole
+   point) the model artifacts are byte-identical to those of a run
+   built with a disabled tracer.
+2. Read the run back: the throughput line ``repro train status`` prints
+   and the span table ``repro obs trace`` prints.
 3. Export the span log as Chrome ``trace_event`` JSON for
    ``chrome://tracing`` / Perfetto.
 4. Profile the model per layer (wall time + gemm counts), and render a
@@ -27,15 +27,13 @@ from repro.gan import Dataset, Sample
 from repro.obs import (
     Profiler,
     format_span_summary,
-    format_telemetry_summary,
     read_spans,
-    read_telemetry,
     summarize_spans,
-    summarize_telemetry,
     write_chrome_trace,
 )
 from repro.serve import BatchingEngine, ForecastCache, ModelRegistry
 from repro.train import EvalSpec, Runner, TrainSpec
+from repro.train.status import format_run_status, read_run_status
 
 OUT_DIR = Path(__file__).parent / "out" / "obs"
 SIZE = 16
@@ -59,21 +57,23 @@ def main() -> None:
         shutil.rmtree(OUT_DIR)
     dataset = make_dataset()
 
-    print("[1/4] instrumented training run (telemetry + span tracing)")
+    print("[1/4] training run (spans into the run directory)")
     spec = TrainSpec(name="demo", data="inline", scale=scale.name, seed=7,
                      epochs=max(2, scale.epochs // 2), order="shuffle",
                      model={"base_filters": 4, "disc_filters": 4},
                      eval=EvalSpec(every_epochs=1))
-    runner = Runner.create(spec, OUT_DIR / "runs", dataset=dataset,
-                           trace=True)
+    runner = Runner.create(spec, OUT_DIR / "runs", dataset=dataset)
     result = runner.run()
     run_dir = OUT_DIR / "runs" / "demo"
     print(f"  finished at step {result.global_step}; "
-          f"telemetry + trace in {run_dir}")
+          f"trace in {run_dir}")
 
-    print("[2/4] reading it back (what `repro obs summary/trace` print)")
-    print(format_telemetry_summary(
-        summarize_telemetry(read_telemetry(run_dir / "telemetry.jsonl"))))
+    print("[2/4] reading it back (what `repro train status` and "
+          "`repro obs trace` print)")
+    timing = [line for line in
+              format_run_status(read_run_status(run_dir)).splitlines()
+              if "timing" in line]
+    print("\n".join(timing))
     spans = read_spans(run_dir / "trace.jsonl")
     print(format_span_summary(summarize_spans(spans)))
 

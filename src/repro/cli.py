@@ -22,9 +22,10 @@ Commands mirror the flows API:
   checkpoint or baseline against ground truth (deterministic JSON
   report), ``compare`` two reports with per-metric tolerances, and
   score all ``baselines``.
-* ``obs``      — telemetry readers: ``summary`` and ``tail`` a run's
-  ``telemetry.jsonl``, ``trace`` to aggregate a span log or export it
-  as Chrome ``trace_event`` JSON.  Numpy-free like ``train status``.
+* ``obs``      — observability readers: ``tail`` a run's ``trace.jsonl``,
+  ``trace`` to aggregate a span log or export it as Chrome
+  ``trace_event`` JSON, ``agg``/``top``/``alerts`` over fleet telemetry.
+  Numpy-free like ``train status``.
 * ``fleet``    — fleet-scale operations: ``up`` serves checkpoints
   through a multi-worker router (shared cache, admission control,
   backpressure, supervised restarts), ``route`` batch-forecasts store
@@ -102,17 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "once global_step reaches this count")
     train_run.add_argument("--log-every", type=int, default=None,
                            help="print losses every N epochs")
-    train_run.add_argument("--trace", action="store_true",
-                           help="record spans to <run dir>/trace.jsonl "
-                                "(view with `repro obs trace`)")
 
     train_resume = train_commands.add_parser(
         "resume", help="continue a run from its latest checkpoint")
     train_resume.add_argument("run_dir", type=Path)
     train_resume.add_argument("--stop-after-steps", type=int, default=None)
     train_resume.add_argument("--log-every", type=int, default=None)
-    train_resume.add_argument("--trace", action="store_true",
-                              help="record spans to <run dir>/trace.jsonl")
 
     train_sweep = train_commands.add_parser(
         "sweep", help="fan a sweep file of specs across workers")
@@ -285,23 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write one JSON report per baseline here")
 
     obs = commands.add_parser(
-        "obs", help="telemetry readers: summary/tail/trace (no numpy)")
+        "obs", help="observability readers: tail/trace/agg/top/alerts "
+                    "(no numpy)")
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
 
-    obs_summary = obs_commands.add_parser(
-        "summary", help="aggregate a run's telemetry.jsonl")
-    obs_summary.add_argument("run_dir", type=Path,
-                             help="a run directory, or a telemetry.jsonl "
-                                  "path")
-    obs_summary.add_argument("--json", action="store_true",
-                             help="emit machine-readable JSON")
-
     obs_tail = obs_commands.add_parser(
-        "tail", help="print the newest telemetry events")
+        "tail", help="print the newest spans of a run's trace.jsonl")
     obs_tail.add_argument("run_dir", type=Path,
-                          help="a run directory, or a telemetry.jsonl path")
+                          help="a run directory, or a trace.jsonl path")
     obs_tail.add_argument("-n", "--count", type=int, default=10,
-                          help="events to show (default 10)")
+                          help="spans to show (default 10)")
 
     obs_trace = obs_commands.add_parser(
         "trace", help="summarize a span log, or export it for "
@@ -532,7 +521,7 @@ def _train_run(args) -> int:
     from repro.train import Runner, TrainSpec
 
     spec = TrainSpec.load(args.spec)
-    runner = Runner.create(spec, args.runs, log=print, trace=args.trace)
+    runner = Runner.create(spec, args.runs, log=print)
     print(f"run directory: {runner.run_dir}")
     result = runner.run(stop_after_steps=args.stop_after_steps,
                         log_every=args.log_every)
@@ -543,7 +532,7 @@ def _train_run(args) -> int:
 def _train_resume(args) -> int:
     from repro.train import Runner
 
-    runner = Runner.resume(args.run_dir, log=print, trace=args.trace)
+    runner = Runner.resume(args.run_dir, log=print)
     result = runner.run(stop_after_steps=args.stop_after_steps,
                         log_every=args.log_every)
     _print_run_result(result)
@@ -725,11 +714,9 @@ def cmd_serve(args) -> int:
 
 
 def cmd_data(args) -> int:
-    from repro.data import StoreError
-
     try:
         return _run_data(args)
-    except (StoreError, ValueError) as error:
+    except ValueError as error:   # StoreError is a ValueError
         raise SystemExit(f"error: {error}") from None
 
 
@@ -810,14 +797,12 @@ def _print_metrics(report: dict) -> None:
 
 
 def cmd_eval(args) -> int:
-    from repro.data import StoreError
-
     try:
         return _run_eval(args)
     except KeyError as error:
         # ModelRegistry.get raises KeyError with a readable message.
         raise SystemExit(f"error: {error.args[0]}") from None
-    except (FileNotFoundError, StoreError, ValueError) as error:
+    except (FileNotFoundError, ValueError) as error:   # and StoreError
         raise SystemExit(f"error: {error}") from None
 
 
@@ -915,44 +900,29 @@ def _run_eval(args) -> int:
 
 def cmd_obs(args) -> int:
     # Deliberately numpy-free, same contract as `repro train status`:
-    # only repro.obs modules load, so tailing telemetry from a shell is
+    # only repro.obs modules load, so tailing a trace from a shell is
     # instant and works without the scientific stack.
     import json as json_module
 
     from repro.obs.render import (
-        TELEMETRY_NAME,
         TRACE_NAME,
+        format_span,
         format_span_summary,
-        format_telemetry_record,
-        format_telemetry_summary,
-        read_telemetry,
+        read_jsonl,
         summarize_spans,
-        summarize_telemetry,
-        tail_telemetry,
     )
 
     def _resolve(path: Path, default_name: str) -> Path:
         return path / default_name if path.is_dir() else path
 
-    if args.obs_command == "summary":
-        path = _resolve(args.run_dir, TELEMETRY_NAME)
-        records = read_telemetry(path)
-        if not records:
-            raise SystemExit(f"error: no telemetry at {path}")
-        summary = summarize_telemetry(records)
-        if args.json:
-            print(json_module.dumps(summary, indent=1, sort_keys=True))
-        else:
-            print(format_telemetry_summary(summary))
-        return 0
-
     if args.obs_command == "tail":
-        path = _resolve(args.run_dir, TELEMETRY_NAME)
-        records = tail_telemetry(path, count=args.count)
-        if not records:
-            raise SystemExit(f"error: no telemetry at {path}")
-        for record in records:
-            print(format_telemetry_record(record))
+        path = _resolve(args.run_dir, TRACE_NAME)
+        spans = read_jsonl(path)[0]
+        spans = spans[max(0, len(spans) - args.count):]
+        if not spans:
+            raise SystemExit(f"error: no trace at {path}")
+        for span in spans:
+            print(format_span(span))
         return 0
 
     if args.obs_command == "trace":

@@ -74,8 +74,57 @@ def _atomic_write_text(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-class StoreError(Exception):
+class StoreError(ValueError):
     """A store directory is missing, malformed, or fails verification."""
+
+
+#: What every reader indexes in a manifest, and the JSON type it expects
+#: (the shape fields stay null until the first sample is written).
+_SHAPE = (int, type(None))
+_MANIFEST_FIELDS = {"num_samples": int, "shard_size": int,
+                    "image_size": _SHAPE, "input_channels": _SHAPE,
+                    "target_channels": _SHAPE, "designs": dict,
+                    "metadata": dict, "provenance": list, "shards": list}
+_SHARD_FIELDS = {"name": str, "num_samples": int, "sha256": str,
+                 "sample_hashes": list}
+
+
+def _field_problem(document: dict, fields: dict) -> str | None:
+    for key, kind in fields.items():
+        if key not in document:
+            return f"{key!r} is missing"
+        value = document[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"{key!r} has the wrong type ({type(value).__name__})"
+    return None
+
+
+def _manifest_problem(manifest) -> str | None:
+    """Why ``manifest`` is not one every reader can index, or ``None``.
+
+    A manifest is untrusted input.  A shard name is joined under the
+    store root, so only a bare file name is accepted, never a path that
+    reaches outside the store.
+    """
+    if not isinstance(manifest, dict):
+        return "not a JSON object"
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        return (f"unsupported store format {version!r} "
+                f"(expected {FORMAT_VERSION})")
+    problem = _field_problem(manifest, _MANIFEST_FIELDS)
+    if problem is not None:
+        return problem
+    for index, shard in enumerate(manifest["shards"]):
+        if not isinstance(shard, dict):
+            return f"shards[{index}] is not a JSON object"
+        problem = _field_problem(shard, _SHARD_FIELDS)
+        if problem is not None:
+            return f"shards[{index}]: {problem}"
+        name = shard["name"]
+        if name in ("", ".", "..") or any(ch in name for ch in "/\\\0"):
+            return f"shards[{index}]: {name!r} is not a bare file name"
+    return None
 
 
 class ShardedStore:
@@ -126,11 +175,14 @@ class ShardedStore:
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             raise StoreError(f"no {MANIFEST_NAME} under {root}")
-        manifest = json.loads(manifest_path.read_text())
-        version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise StoreError(f"unsupported store format {version!r} "
-                             f"(expected {FORMAT_VERSION})")
+        try:
+            manifest = json.loads(manifest_path.read_bytes())
+        except (ValueError, RecursionError) as error:
+            raise StoreError(f"{manifest_path}: not valid JSON "
+                             f"({error})") from None
+        problem = _manifest_problem(manifest)
+        if problem is not None:
+            raise StoreError(f"{manifest_path}: {problem}")
         return cls(root, manifest)
 
     @staticmethod

@@ -276,15 +276,17 @@ class ArtifactStore:
         lifted into the artifact's ``meta``, converging the PR 2 format's
         provenance with the store's.
         """
+        from repro.data.store import MANIFEST_NAME, ShardedStore, StoreError
+
         root = Path(root)
-        manifest_path = root / "manifest.json"
-        if not manifest_path.exists():
+        try:
+            manifest = ShardedStore.open(root).manifest
+        except StoreError as error:
             raise ArtifactError(f"{root} is not a dataset store "
-                                f"(no manifest.json)")
-        manifest = json.loads(manifest_path.read_text())
+                                f"({error})") from None
         files = []
-        for member in ["manifest.json"] + [shard["name"]
-                                           for shard in manifest["shards"]]:
+        for member in [MANIFEST_NAME] + [shard["name"]
+                                         for shard in manifest["shards"]]:
             path = root / member
             if not path.exists():
                 raise ArtifactError(f"dataset store {root} is missing "

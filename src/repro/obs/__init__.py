@@ -69,15 +69,9 @@ from repro.obs.publish import (
     write_snapshot,
 )
 from repro.obs.render import (
-    TELEMETRY_NAME,
     TRACE_NAME,
     format_span_summary,
-    format_telemetry_record,
-    format_telemetry_summary,
-    read_telemetry,
     summarize_spans,
-    summarize_telemetry,
-    tail_telemetry,
 )
 from repro.obs.timeseries import TimeSeriesStore, flatten_export
 from repro.obs.trace import (
@@ -100,7 +94,6 @@ __all__ = [
     "MetricsRegistry",
     "Profiler",
     "TELEMETRY_DIR",
-    "TELEMETRY_NAME",
     "TRACE_NAME",
     "TelemetryPublisher",
     "TimeSeriesStore",
@@ -110,20 +103,15 @@ __all__ = [
     "discover_snapshots",
     "flatten_export",
     "format_span_summary",
-    "format_telemetry_record",
-    "format_telemetry_summary",
     "get_tracer",
     "load_rules",
     "merge_exports",
     "read_alert_log",
     "read_snapshot",
     "read_spans",
-    "read_telemetry",
     "registry_from_export",
     "set_tracer",
     "summarize_spans",
-    "summarize_telemetry",
-    "tail_telemetry",
     "write_chrome_trace",
     "write_snapshot",
 ]

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.render import read_jsonl
 
 #: Conventional alert event log name.
 ALERTS_NAME = "alerts.jsonl"
@@ -283,17 +284,4 @@ def read_alert_log(path: str | Path) -> tuple[list[dict], int]:
     Partially-written final lines (a writer mid-append) are skipped and
     counted, never raised.
     """
-    path = Path(path)
-    if not path.exists():
-        return [], 0
-    events, skipped = [], 0
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                skipped += 1
-    return events, skipped
+    return read_jsonl(path)

@@ -1,7 +1,7 @@
-"""Stdlib-only readers/renderers for telemetry and trace artifacts.
+"""Stdlib-only readers/renderers for JSONL logs and span traces.
 
 Everything ``repro obs`` and the ``repro train status`` timing block
-need to turn a run directory's ``telemetry.jsonl`` / ``trace.jsonl``
+need to turn a run directory's ``trace.jsonl`` (or an ``alerts.jsonl``)
 into numbers and terminal text lives here — with zero numpy on the
 import path, same contract as ``repro.train.status``.
 """
@@ -9,10 +9,8 @@ import path, same contract as ``repro.train.status``.
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
 
-TELEMETRY_NAME = "telemetry.jsonl"
 TRACE_NAME = "trace.jsonl"
 
 
@@ -20,8 +18,8 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], int]:
     """All records from a JSONL file plus the count of skipped lines.
 
     A live writer may be mid-append, leaving a partially-written final
-    line; readers polling such files (``repro obs tail``, ``train
-    status``, trace export) must not crash on it.  Unparseable lines are
+    line; readers polling such files (``repro obs tail``, trace export,
+    the alert log) must not crash on it.  Unparseable lines are
     skipped and counted, never raised.  Returns ``([], 0)`` when the
     file is absent.
     """
@@ -41,144 +39,17 @@ def read_jsonl(path: str | Path) -> tuple[list[dict], int]:
     return records, skipped
 
 
-def read_telemetry(path: str | Path) -> list[dict]:
-    """All telemetry records from a JSONL file ([] when absent).
-
-    Partially-written lines are skipped (see :func:`read_jsonl`).
-    """
-    return read_jsonl(path)[0]
-
-
-def tail_telemetry(path: str | Path, count: int = 10) -> list[dict]:
-    """The last ``count`` parseable telemetry records, oldest first."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    tail: deque = deque(maxlen=count)
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                tail.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return list(tail)
-
-
-class _Acc:
-    __slots__ = ("count", "total_ms", "max_ms")
-
-    def __init__(self):
-        self.count = 0
-        self.total_ms = 0.0
-        self.max_ms = 0.0
-
-    def add(self, ms: float) -> None:
-        self.count += 1
-        self.total_ms += ms
-        if ms > self.max_ms:
-            self.max_ms = ms
-
-    def asdict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_ms": self.total_ms,
-            "mean_ms": self.total_ms / self.count if self.count else 0.0,
-            "max_ms": self.max_ms,
-        }
-
-
-def summarize_telemetry(records: list[dict]) -> dict:
-    """Aggregate step/epoch/eval/checkpoint events into one summary.
-
-    ``steps_per_sec`` / ``mean_step_ms`` under ``"throughput"`` come
-    from the *last* epoch fold — the current speed, not the lifetime
-    average, which is what a status poll wants.
-    """
-    accs = {name: _Acc() for name in ("step", "eval", "checkpoint")}
-    last_epoch = None
-    epochs = 0
-    for record in records:
-        event = record.get("event")
-        if event == "epoch":
-            epochs += 1
-            last_epoch = record
-        elif event in accs and "ms" in record:
-            accs[event].add(record["ms"])
-    summary = {
-        "events": len(records),
-        "steps": accs["step"].asdict(),
-        "evals": accs["eval"].asdict(),
-        "checkpoints": accs["checkpoint"].asdict(),
-        "epochs": epochs,
-    }
-    if last_epoch is not None:
-        summary["throughput"] = {
-            "phase": last_epoch.get("phase"),
-            "epoch": last_epoch.get("epoch"),
-            "steps_per_sec": last_epoch.get("steps_per_sec"),
-            "mean_step_ms": last_epoch.get("mean_step_ms"),
-        }
-    return summary
-
-
-def format_telemetry_summary(summary: dict) -> str:
-    lines = [f"telemetry: {summary['events']} events, "
-             f"{summary['epochs']} epoch folds"]
-    steps = summary["steps"]
-    if steps["count"]:
-        lines.append(f"  steps        {steps['count']} timed, "
-                     f"mean {steps['mean_ms']:.2f} ms, "
-                     f"max {steps['max_ms']:.2f} ms")
-    throughput = summary.get("throughput")
-    if throughput and throughput.get("steps_per_sec") is not None:
-        lines.append(f"  throughput   {throughput['steps_per_sec']:.2f} "
-                     f"steps/s (phase {throughput['phase']}, "
-                     f"epoch {throughput['epoch']})")
-    evals = summary["evals"]
-    if evals["count"]:
-        lines.append(f"  eval hooks   {evals['count']} runs, "
-                     f"mean {evals['mean_ms']:.1f} ms")
-    checkpoints = summary["checkpoints"]
-    if checkpoints["count"]:
-        lines.append(f"  checkpoints  {checkpoints['count']} written, "
-                     f"mean {checkpoints['mean_ms']:.1f} ms")
-    return "\n".join(lines)
-
-
-def format_telemetry_record(record: dict) -> str:
-    """One telemetry record as a stable single line for ``obs tail``."""
-    event = record.get("event", "?")
-    where = " ".join(
-        f"{key}={record[key]}" for key in ("phase", "epoch", "step")
-        if key in record)
-    timing = ""
-    if "ms" in record:
-        timing = f"  {record['ms']:.2f} ms"
-    elif "seconds" in record:
-        timing = f"  {record['seconds']:.2f} s"
-    extras = " ".join(
-        f"{key}={_round(record[key])}"
-        for key in sorted(record)
-        if key not in ("event", "phase", "epoch", "step", "ms", "seconds"))
-    return f"{event:<11}{where}{timing}" + (f"  [{extras}]" if extras else "")
-
-
-def _round(value):
-    return round(value, 4) if isinstance(value, float) else value
-
-
 def summarize_spans(spans: list[dict]) -> dict:
     """Per-name span aggregates (count, total/mean/max ms), sorted by
     total time descending."""
-    accs: dict[str, _Acc] = {}
+    durations: dict[str, list[float]] = {}
     for span in spans:
-        accs.setdefault(span["name"], _Acc()).add(
+        durations.setdefault(span["name"], []).append(
             span.get("dur_us", 0) / 1000.0)
-    ordered = sorted(accs.items(), key=lambda kv: -kv[1].total_ms)
-    return {name: acc.asdict() for name, acc in ordered}
+    summary = {name: {"count": len(ms), "total_ms": sum(ms),
+                      "mean_ms": sum(ms) / len(ms), "max_ms": max(ms)}
+               for name, ms in durations.items()}
+    return dict(sorted(summary.items(), key=lambda kv: -kv[1]["total_ms"]))
 
 
 def format_span_summary(by_name: dict) -> str:
@@ -188,3 +59,16 @@ def format_span_summary(by_name: dict) -> str:
         lines.append(f"{name:<28} {acc['count']:>7} {acc['total_ms']:>10.2f} "
                      f"{acc['mean_ms']:>9.3f} {acc['max_ms']:>9.3f}")
     return "\n".join(lines)
+
+
+def format_span(span: dict) -> str:
+    """One span record as a stable single line for ``obs tail``."""
+    args = span.get("args", {})
+    extras = " ".join(f"{key}={_round(args[key])}" for key in sorted(args))
+    return (f"{span.get('name', '?'):<22}"
+            f"{span.get('dur_us', 0) / 1000.0:>10.2f} ms"
+            + (f"  [{extras}]" if extras else ""))
+
+
+def _round(value):
+    return round(value, 4) if isinstance(value, float) else value

@@ -27,6 +27,8 @@ import threading
 import time
 from pathlib import Path
 
+from repro.obs.render import read_jsonl
+
 
 class _NullSpan:
     """The shared do-nothing span handed out by a disabled tracer."""
@@ -217,23 +219,13 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 
 
 def read_spans(path) -> list[dict]:
-    """All span records from a JSONL file.
+    """All span records from a JSONL file ([] when absent).
 
     Blank and partially-written lines (a tracer flushing concurrently)
     are skipped, so Chrome export of a live trace never crashes on a
     torn final line.
     """
-    spans = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                spans.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return spans
+    return read_jsonl(path)[0]
 
 
 def write_chrome_trace(spans_or_path, out_path) -> int:

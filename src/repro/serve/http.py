@@ -231,7 +231,8 @@ class _Handler(BaseHTTPRequestHandler):
                                     f"{self.timeout}s") from None
             try:
                 body = json.loads(raw)
-            except ValueError as error:   # bad JSON or not UTF-8
+            except (ValueError, RecursionError) as error:
+                # Bad JSON, not UTF-8, or nested past the parser's depth.
                 raise ApiError(400, f"invalid JSON: {error}") from None
             model_id, x = _parse_forecast_body(body)
             engine = self.api.engine

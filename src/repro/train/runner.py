@@ -12,8 +12,8 @@ and persisting the full lifecycle into a **run directory**:
       status.json        # mutable progress (epoch, losses, best, timing)
       losses.jsonl       # one line per optimizer step + per epoch fold
       evals.jsonl        # eval-hook metric passes
-      telemetry.jsonl    # timing events (steps, epochs, evals, ckpts)
-      trace.jsonl        # spans, only when tracing is enabled
+      trace.jsonl        # timing spans (train.step/epoch/eval/checkpoint,
+                         # plus data.* spans of a store-backed run)
       checkpoints/       # exact-resume train states + latest.json
       export/            # finished checkpoints in the serve registry
                          # format (Pix2Pix.save .npz)
@@ -23,10 +23,11 @@ and step counts, dropout rng streams, the sample-order state, and the
 loader cursor — so ``Runner.resume(run_dir).run()`` continues a killed
 run **bitwise-identically**: final weights and ``losses.jsonl`` match an
 uninterrupted run byte for byte.  Timing and other non-deterministic
-facts live only in ``status.json`` and ``telemetry.jsonl``, never in the
-compared artifacts; telemetry is append-only and observational (it is
+facts live only in ``status.json`` and ``trace.jsonl``, never in the
+compared artifacts; the trace is append-only and observational (it is
 neither truncated on resume nor consulted by any training decision), so
-running with it on or off produces byte-identical model artifacts.
+a run traced into its directory and one built with ``tracer=Tracer(None)``
+produce byte-identical model artifacts.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.train.status import (
     LOSSES_NAME,
     SPEC_NAME,
     STATUS_NAME,
-    TELEMETRY_NAME,
+    TRACE_NAME,
 )
 
 CHECKPOINT_DIR = "checkpoints"
@@ -121,17 +122,13 @@ class Runner:
                  dataset: Dataset | None = None,
                  finetune_dataset: Dataset | None = None,
                  eval_dataset: Dataset | None = None,
-                 log=None, telemetry: bool = True, trace: bool = False,
-                 tracer: Tracer | None = None, metrics=None,
+                 log=None, tracer: Tracer | None = None, metrics=None,
                  _fresh: bool = True):
         self.spec = spec
         self.scale = spec.resolve_scale()
         self.run_dir = Path(run_dir) if run_dir is not None else None
         self.log = log
         self._store = None
-        # Telemetry: timing events into <run>/telemetry.jsonl.  Purely
-        # observational — nothing the training path reads back.
-        self._telemetry = telemetry and self.run_dir is not None
         # Fleet metrics: a repro.obs.MetricsRegistry to count progress
         # into (sweep workers publish it cross-process).  Observational
         # only — nothing the training path reads back.
@@ -149,9 +146,8 @@ class Runner:
                 "train_steps_per_sec",
                 "Steps per second over the last folded epoch.",
                 agg="sum")
-        self._step_started: float | None = None
+        self._step_started = 0.0
         self._epoch_steps = 0
-        self._epoch_step_ms = 0.0
         train_data, finetune_data, eval_data = self._resolve_datasets(
             dataset, finetune_dataset, eval_dataset)
         self.eval_dataset = eval_data
@@ -169,17 +165,11 @@ class Runner:
         self._spec_sha_cached: str | None = None
         if self.run_dir is not None:
             self._init_run_dir(fresh=_fresh)
-        # Spans: an explicit tracer wins; ``trace=True`` opens
-        # <run>/trace.jsonl (after _init_run_dir so a restart's unlink
-        # doesn't orphan the handle); otherwise the process default,
-        # which is a no-op unless REPRO_TRACE is set.
-        if tracer is not None:
-            self.tracer = tracer
-        elif trace and self.run_dir is not None:
-            self.tracer = Tracer(self.run_dir / "trace.jsonl",
-                                 flush_every=64)
-        else:
-            self.tracer = get_tracer()
+        # Spans: an explicit tracer wins; a run directory records into
+        # its own <run>/trace.jsonl, which run() opens and closes; with
+        # neither, the process default (a no-op unless REPRO_TRACE is set).
+        self._owns_trace = tracer is None and self.run_dir is not None
+        self.tracer = tracer if tracer is not None else get_tracer()
 
     # -- construction --------------------------------------------------------
 
@@ -343,12 +333,9 @@ class Runner:
             # which preserves everything and restores the cursor.
             self._truncate_jsonl(LOSSES_NAME, 0)
             self._truncate_jsonl(EVALS_NAME, 0)
-            # Observational logs restart with the run too — a restarted
-            # run's timeline must not interleave with its predecessor's.
-            for stale_log in (TELEMETRY_NAME, "trace.jsonl"):
-                stale_path = self._path(stale_log)
-                if stale_path.exists():
-                    stale_path.unlink()
+            # The trace restarts with the run too — a restarted run's
+            # timeline must not interleave with its predecessor's.
+            self._path(TRACE_NAME).unlink(missing_ok=True)
             for directory in (CHECKPOINT_DIR, EXPORT_DIR):
                 for stale in (self.run_dir / directory).iterdir():
                     stale.unlink()
@@ -442,16 +429,13 @@ class Runner:
 
     # -- logging -------------------------------------------------------------
 
-    def _append_line(self, name: str, document: dict,
-                     flush: bool = True) -> None:
+    def _append_line(self, name: str, document: dict) -> None:
         """Append one line, through a handle held open across the run.
 
         The handle is opened lazily on first append (after any resume
         truncation) and flushed per line, so a killed process loses at
         most the unflushed tail — which resume truncates to the last
-        checkpoint's line count anyway.  Telemetry passes ``flush=False``
-        on per-step events (losing a tail of timing lines is harmless)
-        and flushes on epoch folds.
+        checkpoint's line count anyway.
         """
         if self.run_dir is None:
             return
@@ -460,13 +444,7 @@ class Runner:
             handle = open(self._path(name), "a")
             self._handles[name] = handle
         handle.write(_json_line(document))
-        if flush:
-            handle.flush()
-
-    def _note(self, document: dict, flush: bool = False) -> None:
-        """One telemetry event (no-op when telemetry is disabled)."""
-        if self._telemetry:
-            self._append_line(TELEMETRY_NAME, document, flush=flush)
+        handle.flush()
 
     def _close_handles(self) -> None:
         for handle in self._handles.values():
@@ -478,7 +456,6 @@ class Runner:
     def _checkpoint(self) -> Path | None:
         if self.run_dir is None:
             return None
-        started = time.perf_counter()
         directory = self._path(CHECKPOINT_DIR)
         path = directory / f"step_{self.cursor.global_step:08d}.npz"
         with self.tracer.span("train.checkpoint",
@@ -490,10 +467,6 @@ class Runner:
                 json.dumps({"file": path.name,
                             "global_step": self.cursor.global_step}) + "\n")
             self._prune_checkpoints(directory, keep=path.name)
-        self._note({"event": "checkpoint",
-                    "global_step": self.cursor.global_step,
-                    "ms": (time.perf_counter() - started) * 1e3},
-                   flush=True)
         return path
 
     def _prune_checkpoints(self, directory: Path, keep: str) -> None:
@@ -595,17 +568,22 @@ class Runner:
         between scratch training and the fine-tune phase (inference
         only: a hook must not mutate training state).
         """
-        if not self.tracer.enabled:
-            return self._run(stop_after_steps, log_every, on_phase)
+        if self._owns_trace:
+            # Opened per call and closed on return: a continued run()
+            # appends to the same file, and no handle outlives the call.
+            self.tracer = Tracer(self._path(TRACE_NAME), flush_every=64)
         # While this run is active, its tracer doubles as the process
         # default, so subsystems that trace via get_tracer() — the data
         # loader and store, the eval runner — land their spans in the
-        # same trace.jsonl as the train.* spans.
+        # same trace.jsonl as the train.* spans (and a disabled tracer
+        # silences them too).
         previous = set_tracer(self.tracer)
         try:
             return self._run(stop_after_steps, log_every, on_phase)
         finally:
             set_tracer(previous)
+            if self._owns_trace:
+                self.tracer.close()
 
     def _run(self, stop_after_steps: int | None,
              log_every: int | None, on_phase) -> RunResult:
@@ -644,7 +622,6 @@ class Runner:
                 self._write_status("running", phase, start_epoch)
                 self._step_started = time.perf_counter()
                 self._epoch_steps = 0
-                self._epoch_step_ms = 0.0
                 loop = TrainLoop(
                     self.model,
                     on_step=self._make_step_hook(phase, stop_after_steps),
@@ -697,6 +674,11 @@ class Runner:
         result.best_epoch = self.cursor.best_epoch
         return result
 
+    def _final_epoch(self, phase: PhasePlan, epoch: int) -> bool:
+        """Whether ``epoch`` is the run's last, whose end state the
+        run-end checkpoint writes (so no hook writes it too)."""
+        return phase is self.phases[-1] and epoch + 1 == phase.epochs
+
     def _advance_phase(self) -> None:
         self.cursor.phase += 1
         self.cursor.epoch = 0
@@ -720,19 +702,12 @@ class Runner:
             # interval since the previous hook fired (or the epoch
             # boundary) on the same monotonic clock the loop uses.
             now = time.perf_counter()
-            step_start = self._step_started
-            if step_start is not None:
-                step_ms = (now - step_start) * 1e3
-                self._epoch_steps += 1
-                self._epoch_step_ms += step_ms
-                self._note({"event": "step", "phase": phase.name,
-                            "epoch": epoch, "step": step, "ms": step_ms})
-                if self.tracer.enabled:
-                    start_ns = int(step_start * 1e9)
-                    self.tracer.complete(
-                        "train.step", start_ns,
-                        int(now * 1e9) - start_ns,
-                        phase=phase.name, epoch=epoch, step=step)
+            self._epoch_steps += 1
+            if self.tracer.enabled:
+                start_ns = int(self._step_started * 1e9)
+                self.tracer.complete(
+                    "train.step", start_ns, int(now * 1e9) - start_ns,
+                    phase=phase.name, epoch=epoch, step=step)
             self._step_started = now
             if self.metrics is not None:
                 self._m_steps.inc()
@@ -750,7 +725,9 @@ class Runner:
             cursor.loss_lines += 1
             stopping = (stop_after_steps is not None
                         and cursor.global_step >= stop_after_steps)
-            if stopping or (spec.checkpoint_every_steps
+            final = (self._final_epoch(phase, epoch)
+                     and stats.count == phase.source.num_samples)
+            if stopping or (spec.checkpoint_every_steps and not final
                             and cursor.global_step
                             % spec.checkpoint_every_steps == 0):
                 cursor.order_state = phase.source.order_state()
@@ -773,25 +750,19 @@ class Runner:
             })
             cursor.loss_lines += 1
             epoch_steps = self._epoch_steps
-            self._note({
-                "event": "epoch", "phase": phase.name, "epoch": epoch,
-                "steps": epoch_steps, "samples": count, "seconds": seconds,
-                "steps_per_sec": (epoch_steps / seconds if seconds > 0
-                                  else None),
-                "mean_step_ms": (self._epoch_step_ms / epoch_steps
-                                 if epoch_steps else None),
-            }, flush=True)
             if self.tracer.enabled:
                 dur_ns = int(seconds * 1e9)
                 self.tracer.complete(
                     "train.epoch", time.perf_counter_ns() - dur_ns, dur_ns,
-                    phase=phase.name, epoch=epoch, steps=epoch_steps)
+                    phase=phase.name, epoch=epoch, steps=epoch_steps,
+                    samples=count)
+                # A status poll reads the newest epoch span off disk.
+                self.tracer.flush()
             if self.metrics is not None:
                 self._m_epochs.inc()
                 self._m_steps_per_sec.set(
                     epoch_steps / seconds if seconds > 0 else 0.0)
             self._epoch_steps = 0
-            self._epoch_step_ms = 0.0
             # The epoch is folded: position the cursor at the next
             # epoch's start before any eval/checkpoint captures it.
             cursor.epoch = epoch + 1
@@ -801,23 +772,17 @@ class Runner:
             phase.source.clear_epoch_snapshot()
             if (spec.eval is not None
                     and (epoch + 1) % spec.eval.every_epochs == 0):
-                eval_started = time.perf_counter()
                 with self.tracer.span("train.eval", phase=phase.name,
                                       epoch=epoch):
                     record = self._eval_pass(phase, epoch)
                 self._evals.append(record)
                 self._append_line(EVALS_NAME, record)
                 cursor.eval_lines += 1
-                self._note({"event": "eval", "phase": phase.name,
-                            "epoch": epoch,
-                            "num_samples": record["num_samples"],
-                            "ms": (time.perf_counter() - eval_started)
-                            * 1e3}, flush=True)
-            # The final phase's last epoch is covered by the run-end
-            # checkpoint; forcing one here would write the state twice.
-            last_epoch = (epoch + 1 == phase.epochs
-                          and phase is not self.phases[-1])
-            if last_epoch or (epoch + 1) % spec.checkpoint_every_epochs == 0:
+            # A phase boundary always checkpoints, except the run's last:
+            # the run-end checkpoint writes that state once.
+            if not self._final_epoch(phase, epoch) and (
+                    epoch + 1 == phase.epochs
+                    or (epoch + 1) % spec.checkpoint_every_epochs == 0):
                 cursor.order_state = phase.source.order_state()
                 self._checkpoint()
             self._write_status("running", phase, epoch + 1, averages, count)

@@ -2,11 +2,11 @@
 
 ``repro train status`` answers "how is my run doing" from the run
 directory's JSON artifacts alone: ``spec.json``, ``status.json``, and
-the tails of ``losses.jsonl`` / ``evals.jsonl``.  Nothing here (or on
-this module's import path) touches numpy or the model stack, so polling
-a long run from a shell is instant and works on hosts without the
-scientific stack installed — the ``repro.train`` package only loads its
-heavy modules lazily.
+the tails of ``losses.jsonl``, ``evals.jsonl`` and ``trace.jsonl``.
+Nothing here (or on this module's import path) touches numpy or the
+model stack, so polling a long run from a shell is instant and works on
+hosts without the scientific stack installed — the ``repro.train``
+package only loads its heavy modules lazily.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-# Telemetry artifact name is owned by repro.obs (also stdlib-only);
+# The trace artifact name is owned by repro.obs (also stdlib-only);
 # importing it keeps the single definition without pulling in numpy.
-from repro.obs.render import TELEMETRY_NAME
+from repro.obs.render import TRACE_NAME
 
 SPEC_NAME = "spec.json"
 STATUS_NAME = "status.json"
@@ -95,29 +95,29 @@ def read_run_status(run_dir: str | Path) -> dict:
 
 
 def _read_timing(run_dir: Path) -> dict | None:
-    """The latest throughput numbers from ``telemetry.jsonl``.
+    """The latest throughput numbers from the run's ``trace.jsonl``.
 
-    Same backwards-scan discipline as the loss tails: the newest epoch
-    fold carries steps/sec and mean step ms, the newest step/eval events
-    the most recent raw durations.  Returns ``None`` when the run has no
-    telemetry (disabled, or an older run directory).
+    Same backwards-scan discipline as the loss tails: the newest
+    ``train.epoch`` span gives steps/sec and mean step ms (its steps over
+    its wall time), the newest ``train.step`` / ``train.eval`` spans the
+    most recent raw durations.  Returns ``None`` when the run has no
+    trace (a disabled tracer, or an older run directory).
     """
-    records = _tail_records(run_dir / TELEMETRY_NAME, {
-        "epoch": lambda doc: doc.get("event") == "epoch",
-        "step": lambda doc: doc.get("event") == "step",
-        "eval": lambda doc: doc.get("event") == "eval",
+    spans = _tail_records(run_dir / TRACE_NAME, {
+        "epoch": lambda doc: doc.get("name") == "train.epoch",
+        "step": lambda doc: doc.get("name") == "train.step",
+        "eval": lambda doc: doc.get("name") == "train.eval",
     })
-    if all(record is None for record in records.values()):
+    ms = {kind: span.get("dur_us", 0) / 1000.0
+          for kind, span in spans.items() if span is not None}
+    if not ms:
         return None
-    timing: dict = {}
-    epoch = records["epoch"]
-    if epoch is not None:
-        timing["steps_per_sec"] = epoch.get("steps_per_sec")
-        timing["mean_step_ms"] = epoch.get("mean_step_ms")
-    if records["step"] is not None:
-        timing["last_step_ms"] = records["step"].get("ms")
-    if records["eval"] is not None:
-        timing["eval_ms"] = records["eval"].get("ms")
+    timing = {"last_step_ms": ms.get("step"), "eval_ms": ms.get("eval")}
+    if "epoch" in ms:
+        steps = spans["epoch"].get("args", {}).get("steps") or 0
+        timing["steps_per_sec"] = (steps / ms["epoch"] * 1e3
+                                   if ms["epoch"] > 0 else None)
+        timing["mean_step_ms"] = ms["epoch"] / steps if steps else None
     return timing
 
 

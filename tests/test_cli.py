@@ -305,3 +305,44 @@ class TestDataCommands:
             main(["data", "build", "--designs", "diffeq1",
                   "--placements", "1", "--out", str(store_dir),
                   "--scale", "smoke", "--seed", "3"])
+
+
+class TestDamagedStoreManifest:
+    """Commands that open a store answer `error:` for a damaged manifest
+    instead of a traceback."""
+
+    @pytest.fixture()
+    def store_dir(self, tmp_path):
+        from repro.data import ShardedStore
+        from tests.conftest import make_dataset
+
+        root = tmp_path / "store"
+        ShardedStore.from_dataset(root, make_dataset(2, size=16),
+                                  shard_size=2)
+        (root / "manifest.json").write_text('[{"shards": []}]')
+        return root
+
+    @pytest.mark.parametrize("command", [
+        ["data", "stats"], ["data", "verify"],
+        ["eval", "run", "--baseline", "placement-copy", "--store"],
+    ], ids=["data-stats", "data-verify", "eval-run"])
+    def test_store_commands_exit_with_error(self, store_dir, command):
+        with pytest.raises(SystemExit, match="error: .*manifest.json"):
+            main(command + [str(store_dir)])
+
+    @pytest.mark.parametrize("manifest", [None, '{"shards": "abc"}'],
+                             ids=["missing", "malformed"])
+    def test_train_run_exits_with_error(self, tmp_path, manifest):
+        import json
+
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        if manifest is not None:
+            (store_dir / "manifest.json").write_text(manifest)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "r", "data": f"store:{store_dir}", "scale": "smoke",
+            "epochs": 1, "order": "stream"}))
+        with pytest.raises(SystemExit, match="error: .*manifest.json"):
+            main(["train", "run", "--spec", str(spec),
+                  "--runs", str(tmp_path / "runs")])

@@ -192,3 +192,76 @@ class TestDatasetSatellites:
         shuffled = Dataset().shuffled(np.random.default_rng(0))
         shuffled.append(make_sample())
         assert len(shuffled) == 1
+
+
+def _set_shard_name(manifest, name):
+    manifest["shards"][0]["name"] = name
+
+
+#: Damaged manifests: each must raise StoreError naming the manifest.
+DAMAGED_MANIFESTS = {
+    "list": lambda m: [m],
+    "shards-string": lambda m: m.update(shards="abc"),
+    "shard-not-object": lambda m: m.update(shards=[1]),
+    "num-samples-string": lambda m: m.update(num_samples="4"),
+    "num-samples-bool": lambda m: m.update(num_samples=True),
+    "shard-size-missing": lambda m: m.pop("shard_size"),
+    "image-size-missing": lambda m: m.pop("image_size"),
+    "image-size-string": lambda m: m.update(image_size="16"),
+    "metadata-list": lambda m: m.update(metadata=[]),
+    "designs-list": lambda m: m.update(designs=[]),
+    "provenance-object": lambda m: m.update(provenance={}),
+    "version": lambda m: m.update(format_version=2),
+    "shard-sha-missing": lambda m: m["shards"][0].pop("sha256"),
+    "shard-count-float": lambda m: m["shards"][0].update(num_samples=2.0),
+    "shard-hashes-string": lambda m: m["shards"][0].update(
+        sample_hashes="ab"),
+    "absolute-name": lambda m: _set_shard_name(m, "/tmp/shard-00000.npz"),
+    "parent-name": lambda m: _set_shard_name(m, "../shard-00000.npz"),
+    "nested-name": lambda m: _set_shard_name(m, "sub/shard-00000.npz"),
+    "dot-dot": lambda m: _set_shard_name(m, ".."),
+    "empty-name": lambda m: _set_shard_name(m, ""),
+}
+
+
+class TestDamagedManifest:
+    """A manifest is untrusted input: every reader indexes it, so open()
+    accepts only the shape they rely on."""
+
+    @pytest.fixture()
+    def store_dir(self, tmp_path):
+        root = tmp_path / "s"
+        ShardedStore.from_dataset(root, make_dataset(4), shard_size=2)
+        return root
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_MANIFESTS))
+    def test_damaged_manifest_raises_store_error(self, store_dir, damage):
+        path = store_dir / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        replaced = DAMAGED_MANIFESTS[damage](manifest)
+        path.write_text(json.dumps(
+            replaced if isinstance(replaced, list) else manifest))
+        with pytest.raises(StoreError, match=str(path)):
+            ShardedStore.open(store_dir)
+
+    @pytest.mark.parametrize("text", [
+        '{"format_version": 1, "shards": [',
+        "[" * 100_000,
+        "\xff\xfe not json",
+    ], ids=["truncated", "nested-past-recursion-limit", "not-utf8"])
+    def test_unparseable_manifest_names_the_file(self, store_dir, text):
+        path = store_dir / MANIFEST_NAME
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(StoreError, match=str(path)):
+            ShardedStore.open(store_dir)
+
+    def test_shard_outside_the_store_is_never_loaded(self, store_dir,
+                                                     tmp_path):
+        path = store_dir / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        moved = tmp_path / "outside.npz"
+        (store_dir / manifest["shards"][0]["name"]).rename(moved)
+        manifest["shards"][0]["name"] = str(moved)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="bare file name"):
+            ShardedStore.open(store_dir)

@@ -104,8 +104,8 @@ class TestExamples:
         assert "gemms" in result.stdout
         assert "# TYPE serve_requests_total counter" in result.stdout
         run_dir = out_dir / "obs" / "runs" / "demo"
-        assert (run_dir / "telemetry.jsonl").exists()
         assert (run_dir / "trace.jsonl").exists()
+        assert not (run_dir / "telemetry.jsonl").exists()
         assert (out_dir / "obs" / "trace_chrome.json").exists()
         assert (out_dir / "obs" / "metrics.prom").exists()
 

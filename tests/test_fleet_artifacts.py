@@ -105,6 +105,22 @@ class TestFormatIngestion:
         assert reopened.num_samples == 4
         assert reopened.verify() == []
 
+    def test_put_dataset_store_rejects_shard_outside_store(self, store,
+                                                           tmp_path):
+        from repro.data.store import ShardedStore
+
+        root = tmp_path / "data"
+        ShardedStore.from_dataset(root, make_dataset(count=2, size=8),
+                                  shard_size=2)
+        manifest_path = root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        outside = tmp_path / "outside.npz"
+        (root / manifest["shards"][0]["name"]).rename(outside)
+        manifest["shards"][0]["name"] = str(outside)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match="bare file name"):
+            store.put_dataset_store(root)
+
     def test_put_run_dir_keeps_record_drops_checkpoint_states(
             self, store, tmp_path):
         run = tmp_path / "myrun"

@@ -319,19 +319,20 @@ class TestRunnerReference:
 
 
 class TestTolerantReaders:
-    def test_read_telemetry_skips_torn_final_line(self, tmp_path):
-        from repro.obs.render import read_jsonl, read_telemetry, \
-            tail_telemetry
+    def test_read_jsonl_skips_torn_final_line(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.render import read_jsonl
 
-        path = tmp_path / "telemetry.jsonl"
-        path.write_text('{"event": "step", "ms": 1.0}\n'
-                        '{"event": "step", "ms": 2.0}\n'
-                        '{"event": "st')
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"name": "train.step", "dur_us": 1000}\n'
+                        '{"name": "train.step", "dur_us": 2000}\n'
+                        '{"name": "tr')
         records, skipped = read_jsonl(path)
         assert len(records) == 2
         assert skipped == 1
-        assert len(read_telemetry(path)) == 2
-        assert [r["ms"] for r in tail_telemetry(path, count=1)] == [2.0]
+        assert main(["obs", "tail", str(tmp_path), "-n", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and "2.00 ms" in lines[0]
 
     def test_read_spans_skips_torn_final_line(self, tmp_path):
         from repro.obs.trace import read_spans, write_chrome_trace

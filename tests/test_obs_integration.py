@@ -1,13 +1,17 @@
 """End-to-end observability: the no-perturbation gate, the Prometheus
 endpoint, the status timing block, and the ``repro obs`` CLI.
 
-The load-bearing test here is the byte-equality gate: a fully
-instrumented run (telemetry + tracing on) must produce model artifacts,
-loss logs, and eval reports *bitwise identical* to an uninstrumented
-run.  Observability that perturbs the numbers is a bug by definition.
+The load-bearing test here is the byte-equality gate: a default run,
+which traces into its run directory, must produce model artifacts, loss
+logs, and eval reports *bitwise identical* to a run built with a
+disabled tracer.  Observability that perturbs the numbers is a bug by
+definition.
 """
 
+import gc
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +19,14 @@ import pytest
 from repro.cli import main
 from repro.gan import Dataset
 from repro.obs.trace import Tracer
-from repro.train import EvalSpec, Runner, TrainSpec
+from repro.train import EvalSpec, FinetuneSpec, Runner, TrainSpec
 from repro.train.status import read_run_status, format_run_status
 from tests.conftest import make_dataset
 
 SIZE = 16
+TRAIN_SPANS = {"train.step", "train.epoch", "train.eval", "train.checkpoint"}
+LEGACY_RUN = (Path(__file__).parent / "fixtures" / "train_resume" / "runs"
+              / "legacy")
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +42,10 @@ def gate_spec() -> TrainSpec:
 
 
 def run_once(root, dataset, *, instrumented: bool):
+    # A run directory traces by default; the plain side opts out.
     runner = Runner.create(
         gate_spec(), root, dataset=dataset,
-        telemetry=instrumented, trace=instrumented)
+        tracer=None if instrumented else Tracer(None))
     result = runner.run()
     assert result.completed
     return root / "gate"
@@ -61,16 +69,10 @@ class TestByteEqualityGate:
 
     def test_instrumented_run_actually_observed(self, both_runs):
         plain, traced = both_runs
-        assert not (plain / "telemetry.jsonl").exists()
         assert not (plain / "trace.jsonl").exists()
-        telemetry = (traced / "telemetry.jsonl").read_text().splitlines()
         trace = (traced / "trace.jsonl").read_text().splitlines()
-        assert len(telemetry) > 0 and len(trace) > 0
-        events = {json.loads(line)["event"] for line in telemetry}
-        assert {"step", "epoch", "eval", "checkpoint"} <= events
         names = {json.loads(line)["name"] for line in trace}
-        assert {"train.step", "train.epoch", "train.eval",
-                "train.checkpoint"} <= names
+        assert TRAIN_SPANS <= names
 
     def test_loss_and_eval_logs_byte_identical(self, both_runs):
         plain, traced = both_runs
@@ -102,6 +104,36 @@ class TestByteEqualityGate:
         assert compared > 0
 
 
+class TestRunTrace:
+    """A run directory's one timing record is its span trace."""
+
+    def test_default_run_dir_records_spans_not_telemetry(self, dataset,
+                                                         tmp_path):
+        Runner.create(gate_spec(), tmp_path, dataset=dataset).run()
+        run_dir = tmp_path / "gate"
+        assert not (run_dir / "telemetry.jsonl").exists()
+        spans = [json.loads(line) for line in
+                 (run_dir / "trace.jsonl").read_text().splitlines()]
+        assert TRAIN_SPANS <= {span["name"] for span in spans}
+        epochs = [span for span in spans if span["name"] == "train.epoch"]
+        assert [span["args"]["samples"] for span in epochs] == [6, 6]
+        assert [span["args"]["steps"] for span in epochs] == [6, 6]
+
+    def test_continued_run_appends_and_closes_trace(self, dataset,
+                                                    tmp_path):
+        runner = Runner.create(gate_spec(), tmp_path, dataset=dataset)
+        assert runner.run(stop_after_steps=4).status == "interrupted"
+        assert runner.run().completed
+        trace = tmp_path / "gate" / "trace.jsonl"
+        assert trace.read_text().count('"name": "train.step"') == 12
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del runner
+            gc.collect()
+        assert not [warning for warning in caught
+                    if str(trace) in str(warning.message)]
+
+
 class TestStatusTiming:
     @pytest.fixture(scope="class")
     def run_dir(self, dataset, tmp_path_factory):
@@ -127,6 +159,32 @@ class TestStatusTiming:
                            instrumented=False)
         assert read_run_status(run_dir)["timing"] is None
 
+    def test_legacy_telemetry_only_run_has_no_timing(self):
+        assert (LEGACY_RUN / "telemetry.jsonl").exists()
+        info = read_run_status(LEGACY_RUN)
+        assert info["timing"] is None
+        assert "timing" not in format_run_status(info)
+
+    def test_status_sees_epoch_timing_between_phases(self, dataset,
+                                                     tmp_path):
+        """The epoch span is flushed as it is written, so a status poll
+        in the middle of a run sees the newest epoch's throughput."""
+        spec = TrainSpec(
+            name="phases", data="inline", scale="smoke", seed=3, epochs=1,
+            order="shuffle", holdout_design="b",
+            finetune=FinetuneSpec(epochs=1, pairs=2),
+            model={"base_filters": 4, "disc_filters": 4})
+        both = Dataset(list(dataset) + list(
+            make_dataset(4, size=SIZE, design="b", seed0=30)))
+        seen = {}
+
+        def on_phase(name, model):
+            seen[name] = read_run_status(tmp_path / "phases")["timing"]
+
+        Runner.create(spec, tmp_path, dataset=both).run(on_phase=on_phase)
+        assert seen["train"]["steps_per_sec"] > 0
+        assert seen["train"]["mean_step_ms"] > 0
+
 
 class TestObsCli:
     @pytest.fixture(scope="class")
@@ -134,21 +192,12 @@ class TestObsCli:
         return run_once(tmp_path_factory.mktemp("cli"), dataset,
                         instrumented=True)
 
-    def test_summary(self, run_dir, capsys):
-        assert main(["obs", "summary", str(run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry:" in out and "epoch folds" in out
-
-    def test_summary_json(self, run_dir, capsys):
-        assert main(["obs", "summary", str(run_dir), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["steps"]["count"] > 0
-        assert document["throughput"]["steps_per_sec"] > 0
-
     def test_tail(self, run_dir, capsys):
         assert main(["obs", "tail", str(run_dir), "-n", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+        # The run ends with its run-end checkpoint span.
+        assert lines[-1].startswith("train.checkpoint")
 
     def test_trace_summary(self, run_dir, capsys):
         assert main(["obs", "trace", str(run_dir)]) == 0
@@ -165,8 +214,8 @@ class TestObsCli:
                    for event in document["traceEvents"])
 
     def test_missing_telemetry_exits_with_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="no telemetry"):
-            main(["obs", "summary", str(tmp_path)])
+        with pytest.raises(SystemExit, match="no trace"):
+            main(["obs", "tail", str(tmp_path)])
 
     def test_missing_trace_exits_with_error(self, tmp_path):
         with pytest.raises(SystemExit, match="no trace"):

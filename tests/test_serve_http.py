@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.serve.http as http_module
@@ -199,6 +201,37 @@ class TestErrors:
         assert "error" in document
         x = np.zeros((4, 16, 16), np.float32)
         assert client.forecast("tiny", x=x).cached is False
+
+    @pytest.mark.parametrize("body", [
+        b"[" * 100_000,
+        b'{"model": "tiny", "input": ' + b"[" * 50_000 + b"0"
+        + b"]" * 50_000 + b"}",
+    ], ids=["bare-brackets", "nested-input"])
+    def test_deeply_nested_json_400_then_keeps_serving(self, server, client,
+                                                       body):
+        """Nesting past the parser's recursion limit is invalid JSON,
+        not a dropped connection."""
+        status, document = _raw_post(server.port, str(len(body)).encode(),
+                                     body)
+        assert status == 400
+        assert "invalid JSON" in document["error"]
+        x = np.zeros((4, 16, 16), np.float32)
+        assert client.forecast("tiny", x=x).cached is False
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=st.recursive(
+               st.none() | st.booleans() | st.floats() | st.integers()
+               | st.text(max_size=4),
+               lambda children: st.lists(children, max_size=4)
+               | st.dictionaries(st.text(max_size=4), children, max_size=4),
+               max_leaves=16),
+           depth=st.integers(0, 3000))
+    def test_nested_json_bodies_never_5xx(self, server, payload, depth):
+        body = json.dumps({"model": "tiny", "input": payload}).encode()
+        body = b"[" * depth + body + b"]" * depth
+        status, _ = _raw_post(server.port, str(len(body)).encode(), body)
+        assert status < 500
 
     def test_stalled_body_408_then_keeps_serving(self, server, client,
                                                  monkeypatch):

@@ -88,6 +88,36 @@ class TestRunDirectory:
         assert info.image_size == SIZE
 
 
+class TestCheckpointCadence:
+    """Each train state is written once per cadence point; the run's
+    final step is written by the run-end checkpoint alone."""
+
+    @pytest.mark.parametrize("every_steps, expected", [
+        (0, [4, 8]),
+        # Step 4 is both a step-cadence point and an epoch end.
+        (2, [2, 4, 4, 6, 8]),
+    ])
+    def test_saved_steps(self, dataset, tmp_path, monkeypatch,
+                         every_steps, expected):
+        import repro.train.runner as runner_module
+
+        saved = []
+        save = runner_module.save_train_state
+
+        def counting_save(path, model, cursor, *args, **kwargs):
+            saved.append(cursor.global_step)
+            return save(path, model, cursor, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "save_train_state",
+                            counting_save)
+        spec = basic_spec("cadence", checkpoint_every_steps=every_steps,
+                          publish=False)
+        result = Runner.create(spec, tmp_path,
+                               dataset=dataset.of_design("a")).run()
+        assert result.completed and result.global_step == 8
+        assert saved == expected
+
+
 class TestPhases:
     def test_strategy2_runs_both_phases(self, dataset, tmp_path):
         spec = basic_spec("s2", order="shuffle", holdout_design="b",
