@@ -37,6 +37,12 @@ All writes are atomic (temp + ``os.replace``), and both areas are
 append-only, so concurrent writers — pool workers putting forecast
 results, a sweep archiving run directories — need no locking: the worst
 case is two processes writing the same bytes to the same name.
+
+Manifests and digests are untrusted input (a digest may come from a
+spool job document): :func:`read_manifest` is the one manifest parser,
+and every digest that names a file must be 64 lowercase hex characters,
+so no manifest or digest can point a read or a ``materialize`` outside
+the store or the destination.
 """
 
 from __future__ import annotations
@@ -82,6 +88,67 @@ class ArtifactRef:
     def as_dict(self) -> dict:
         return {"digest": self.digest, "kind": self.kind, "name": self.name,
                 "files": list(self.files), "meta": dict(self.meta)}
+
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _is_digest(value) -> bool:
+    """A sha256 hex digest: 64 lowercase hex characters."""
+    return (isinstance(value, str) and len(value) == 64
+            and set(value) <= _HEX_DIGITS)
+
+
+def _check_digest(digest) -> str:
+    if not _is_digest(digest):
+        raise ArtifactError(f"not a sha256 digest: {str(digest)[:80]!r}")
+    return digest
+
+
+def _is_member(entry) -> bool:
+    """One ``files`` entry: a relative POSIX path with no empty, ``.`` or
+    ``..`` part (an absolute path has an empty first part), a sha256
+    digest and a non-negative integer size."""
+    if not isinstance(entry, dict):
+        return False
+    path, size = entry.get("path"), entry.get("size")
+    return (isinstance(path, str) and "\0" not in path
+            and all(part not in ("", ".", "..") for part in path.split("/"))
+            and _is_digest(entry.get("sha256"))
+            and type(size) is int and size >= 0)
+
+
+def read_manifest(path: Path) -> ArtifactRef:
+    """Parse one manifest file, trusting nothing in it.
+
+    Accepts only a JSON object whose ``digest`` is the file's stem, with
+    string ``kind`` and ``name``, an object ``meta`` and a ``files`` list
+    of :func:`_is_member` entries; anything else raises
+    :class:`ArtifactError` naming the file.
+    """
+    try:
+        document = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError) as error:
+        raise ArtifactError(f"unreadable manifest {path}: {error}") from None
+    if not isinstance(document, dict):
+        problem = "not a JSON object"
+    elif not (_is_digest(path.stem) and document.get("digest") == path.stem):
+        problem = "'digest' does not match the file name"
+    elif not (isinstance(document.get("kind"), str)
+              and isinstance(document.get("name"), str)):
+        problem = "'kind' and 'name' must be strings"
+    elif not isinstance(document.get("meta"), dict):
+        problem = "'meta' must be an object"
+    elif not (isinstance(document.get("files"), list)
+              and all(map(_is_member, document["files"]))):
+        problem = ("'files' must be a list of {path, sha256, size} "
+                   "entries with relative paths")
+    else:
+        return ArtifactRef(digest=document["digest"], kind=document["kind"],
+                           name=document["name"],
+                           files=tuple(document["files"]),
+                           meta=document["meta"])
+    raise ArtifactError(f"malformed manifest {path}: {problem}")
 
 
 def _hash_bytes(data: bytes) -> str:
@@ -138,6 +205,7 @@ class ArtifactStore:
     # -- blob layer --------------------------------------------------------
 
     def blob_path(self, digest: str) -> Path:
+        _check_digest(digest)
         return self.objects_dir / digest[:2] / digest
 
     def _store_blob_file(self, source: Path) -> tuple[str, int]:
@@ -334,15 +402,11 @@ class ArtifactStore:
 
     def get(self, digest: str) -> ArtifactRef:
         """The manifest for one artifact digest."""
-        path = self.manifests_dir / f"{digest}.json"
+        path = self.manifests_dir / f"{_check_digest(digest)}.json"
         if not path.exists():
             raise ArtifactError(f"no artifact {digest[:12]}... in "
                                 f"{self.root}")
-        document = json.loads(path.read_text())
-        return ArtifactRef(digest=document["digest"], kind=document["kind"],
-                           name=document["name"],
-                           files=tuple(document["files"]),
-                           meta=document["meta"])
+        return read_manifest(path)
 
     def resolve(self, ref: str, kind: str | None = None) -> ArtifactRef:
         """An artifact by digest, digest prefix, or name.
@@ -399,7 +463,7 @@ class ArtifactStore:
             for path in sorted(self.manifests_dir.glob("*.json")):
                 try:
                     artifact = self.get(path.stem)
-                except (ArtifactError, json.JSONDecodeError, KeyError):
+                except ArtifactError:
                     continue
                 if kind is None or artifact.kind == kind:
                     artifacts.append(artifact)
@@ -457,8 +521,8 @@ class ArtifactStore:
            content no longer hashes to its name is corrupt and (with
            ``quarantine=True``) moved into ``quarantine/``;
         2. every manifest is re-parsed and its digest recomputed;
-           unreadable or mis-addressed manifests quarantine the same
-           way;
+           unreadable, malformed or mis-addressed manifests quarantine
+           the same way;
         3. what survived is re-verified manifest-by-manifest, so blobs
            that went missing (including ones just quarantined) are
            reported per artifact.
@@ -489,15 +553,15 @@ class ArtifactStore:
                 report["manifests_scanned"] += 1
                 problem = None
                 try:
-                    document = json.loads(path.read_text())
-                    core = manifest_core(document["kind"], document["name"],
-                                         list(document["files"]),
-                                         dict(document["meta"]))
+                    artifact = read_manifest(path)
+                    core = manifest_core(artifact.kind, artifact.name,
+                                         list(artifact.files),
+                                         dict(artifact.meta))
                     if manifest_digest(core) != path.stem:
                         problem = ("manifest content does not hash to "
                                    "its digest")
-                except (json.JSONDecodeError, KeyError, TypeError) as error:
-                    problem = f"unreadable manifest: {error}"
+                except ArtifactError as error:
+                    problem = str(error)
                 if problem is not None:
                     report["corrupt_manifests"].append(
                         {"digest": path.stem, "problem": problem})

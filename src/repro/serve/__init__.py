@@ -13,7 +13,8 @@ package turns trained checkpoints into a long-lived concurrent service:
 * :mod:`repro.serve.cache`    — the forecast cache.
 * :mod:`repro.serve.http`     — stdlib ``ThreadingHTTPServer`` JSON API
   (``/v1/forecast``, ``/v1/models``, ``/healthz``, ``/metrics``).
-* :mod:`repro.serve.client`   — matching stdlib HTTP client.
+* :mod:`repro.serve.client`   — matching stdlib HTTP client, and the
+  base64 float32 array codec both sides use.
 
 Quickstart::
 

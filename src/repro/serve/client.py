@@ -1,7 +1,15 @@
-"""Small stdlib client for the forecast HTTP API.
+"""Small stdlib client for the forecast HTTP API, and its array codec.
 
 Used by the tests, the serving example, and the benchmark; also a reference
 for what a placement tool would embed to query the service.
+
+Arrays travel as JSON objects ``{"b64": ..., "shape": [...]}``: the
+standard base64 of the array's little-endian float32 bytes in C order.
+:func:`encode_array` and :func:`decode_array` are the one codec for that
+form, on both sides of the wire (:mod:`repro.serve.http` imports them).
+The server also takes nested lists and answers in the form it was asked
+in; :class:`ForecastClient` always sends and reads objects, so its
+forecasts are the model's float32 bytes, with no decimal text between.
 
 The client cooperates with fleet backpressure: a 503 from a saturated
 :class:`~repro.fleet.router.FleetRouter` (admission or backpressure)
@@ -14,7 +22,9 @@ client never sees that crash unless the router's retry budget runs out.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import random
 import time
 import urllib.error
@@ -26,6 +36,38 @@ import numpy as np
 #: Error statuses worth retrying: backpressure and gateway hiccups, not
 #: client mistakes (4xx) and not server-side timeouts already spent.
 RETRYABLE_STATUSES = (503,)
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """The wire object of ``array``: base64 float32 bytes and a shape."""
+    data = np.asarray(array, dtype="<f4")
+    return {"b64": base64.b64encode(data.tobytes()).decode("ascii"),
+            "shape": list(data.shape)}
+
+
+def decode_array(value) -> np.ndarray:
+    """A writable float32 array from its wire object.
+
+    Accepts only an object with exactly the keys ``b64`` (a base64
+    string) and ``shape`` (a list of non-negative ints) whose bytes hold
+    exactly ``prod(shape)`` float32 values; raises ``ValueError`` for
+    anything else.  The byte count is checked before any reshape, so a
+    forged shape never sizes an allocation.
+    """
+    if not isinstance(value, dict) or set(value) != {"b64", "shape"}:
+        raise ValueError("an array object has exactly the keys "
+                         "'b64' and 'shape'")
+    text, shape = value["b64"], value["shape"]
+    if not isinstance(text, str):
+        raise ValueError("'b64' must be a string")
+    if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape):
+        raise ValueError("'shape' must be a list of non-negative integers")
+    raw = base64.b64decode(text, validate=True)   # binascii.Error: ValueError
+    if len(raw) != 4 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes do not hold a float32 array "
+                         f"of shape {shape}")
+    return np.frombuffer(raw, "<f4").astype(np.float32).reshape(shape)
 
 
 class ClientError(Exception):
@@ -151,25 +193,25 @@ class ForecastClient:
 
         Pass either ``x`` (a ``(C, H, W)`` normalized input) or
         ``place_image`` + ``connect_image`` (rendered [0, 1] images, built
-        into the input stack server-side).
+        into the input stack server-side).  Arrays go both ways as wire
+        objects (:func:`encode_array`), so this needs a server that
+        accepts them.
         """
         if (x is None) == (place_image is None):
             raise ValueError("pass exactly one of x or place_image")
         payload: dict = {"model": model}
         if x is not None:
-            payload["input"] = np.asarray(x, dtype=np.float32).tolist()
+            payload["input"] = encode_array(x)
         else:
             if connect_image is None:
                 raise ValueError("place_image requires connect_image")
-            payload["place_image"] = np.asarray(
-                place_image, dtype=np.float32).tolist()
-            payload["connect_image"] = np.asarray(
-                connect_image, dtype=np.float32).tolist()
+            payload["place_image"] = encode_array(place_image)
+            payload["connect_image"] = encode_array(connect_image)
             payload["connect_weight"] = connect_weight
         reply = self._request("/v1/forecast", payload)
         return ForecastResponse(
             model=reply["model"],
-            forecast=np.asarray(reply["forecast"], dtype=np.float32),
+            forecast=decode_array(reply["forecast"]),
             cached=bool(reply["cached"]),
             latency_ms=float(reply["latency_ms"]),
         )

@@ -19,10 +19,16 @@ Endpoints:
   :class:`~repro.fleet.router.FleetRouter` (404 on a single-engine
   server).
 * ``POST /v1/forecast`` — run one forecast.  Body is JSON with ``model``
-  plus either ``input`` (a nested ``(C, H, W)`` list in [-1, 1]) or
-  ``place_image`` (``(H, W, 3)`` in [0, 1]) with ``connect_image``
-  (``(H, W)`` in [0, 1]) and optional ``connect_weight``; the response
-  carries the forecast image as nested ``(H, W, 3)`` lists in [0, 1].
+  plus either ``input`` (``(C, H, W)`` in [-1, 1]) or ``place_image``
+  (``(H, W, 3)`` in [0, 1]) with ``connect_image`` (``(H, W)`` in
+  [0, 1]) and optional ``connect_weight``; the response carries the
+  forecast image, ``(H, W, 3)`` in [0, 1].  Each array is either a
+  nested list or an array object ``{"b64": ..., "shape": [...]}`` (base64
+  of the little-endian float32 bytes, C order; see
+  :func:`~repro.serve.client.decode_array`).  The forecast comes back in
+  the form of the request's ``input`` (or ``place_image``): objects carry
+  the model's float32 bytes exactly and skip the decimal text that
+  dominates a nested-list request's cost.
 
 With ``obs_dir`` set, the server also runs a
 :class:`~repro.obs.publish.TelemetryPublisher` — its registry snapshot
@@ -55,6 +61,7 @@ from repro.gan.dataset import make_input_stack
 from repro.obs.alerts import ALERTS_NAME, AlertManager, load_rules
 from repro.obs.publish import TELEMETRY_DIR, TelemetryPublisher
 from repro.obs.timeseries import flatten_export
+from repro.serve.client import decode_array, encode_array
 from repro.serve.engine import BatchingEngine
 
 #: Reject request bodies larger than this (64 MB covers a 1024px input).
@@ -78,8 +85,21 @@ class ApiError(Exception):
         self.headers = dict(headers) if headers else {}
 
 
-def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
-    """Extract (model_id, input array) from a ``/v1/forecast`` payload."""
+def _array_field(body: dict, name: str) -> np.ndarray:
+    """One array field of a forecast body: a nested list or an object."""
+    value = body[name]
+    if isinstance(value, dict):
+        try:
+            return decode_array(value)
+        except ValueError as error:
+            raise ApiError(400, f"bad array object in '{name}': "
+                                f"{error}") from None
+    return np.asarray(value, dtype=np.float32)
+
+
+def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray, bool]:
+    """Extract (model_id, input array, reply with an array object) from
+    a ``/v1/forecast`` payload."""
     if not isinstance(body, dict):
         raise ApiError(400, "request body must be a JSON object")
     model_id = body.get("model")
@@ -91,17 +111,18 @@ def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
         raise ApiError(
             400, "provide exactly one of 'input' or "
                  "'place_image' + 'connect_image'")
+    binary = isinstance(body["input" if has_input else "place_image"], dict)
     try:
         if has_input:
-            x = np.asarray(body["input"], dtype=np.float32)
+            x = _array_field(body, "input")
             if x.ndim != 3:
                 raise ApiError(
                     400, f"'input' must be (C, H, W), got shape {x.shape}")
         else:
             if "connect_image" not in body:
                 raise ApiError(400, "'place_image' requires 'connect_image'")
-            place = np.asarray(body["place_image"], dtype=np.float32)
-            connect = np.asarray(body["connect_image"], dtype=np.float32)
+            place = _array_field(body, "place_image")
+            connect = _array_field(body, "connect_image")
             weight = float(body.get("connect_weight", 0.1))
             x = make_input_stack(place, connect, weight)
     except ApiError:
@@ -113,7 +134,7 @@ def _parse_forecast_body(body: dict) -> tuple[str, np.ndarray]:
     if not np.isfinite(x).all():
         raise ApiError(400, "forecast input must be finite "
                             "(no NaN or Infinity)")
-    return model_id, x
+    return model_id, x, binary
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -234,7 +255,7 @@ class _Handler(BaseHTTPRequestHandler):
             except (ValueError, RecursionError) as error:
                 # Bad JSON, not UTF-8, or nested past the parser's depth.
                 raise ApiError(400, f"invalid JSON: {error}") from None
-            model_id, x = _parse_forecast_body(body)
+            model_id, x, binary = _parse_forecast_body(body)
             engine = self.api.engine
             try:
                 with engine.tracer.span("http.request",
@@ -261,7 +282,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {
                 "model": result.model_id,
                 "shape": list(result.image.shape),
-                "forecast": result.image.tolist(),
+                "forecast": (encode_array(result.image) if binary
+                             else result.image.tolist()),
                 "cached": result.cached,
                 "latency_ms": result.latency_seconds * 1e3,
             })

@@ -2,11 +2,12 @@
 
 One reference — per-sample :meth:`repro.gan.Pix2Pix.forecast` — and every
 serving path pinned to it: a stacked forward, the batching engine under
-concurrent submits, its cache, HTTP over the engine, a process-worker
-fleet and its shared cache, HTTP over the fleet, a pool ``forecast`` job
-read back from the artifact store, and the eval runner's
-``CheckpointForecaster``.  Deterministic inference is batch-invariant,
-so each comparison is ``np.array_equal``, never a tolerance.
+concurrent submits, its cache, HTTP over the engine (array objects and
+nested lists), a process-worker fleet and its shared cache, HTTP over the
+fleet, a pool ``forecast`` job read back from the artifact store, and the
+eval runner's ``CheckpointForecaster``.  Deterministic inference is
+batch-invariant, so each comparison is ``np.array_equal``, never a
+tolerance.
 
 The per-sample forecast itself is pinned to the slow float64 reference
 in ``tests/reference_forward.py`` within its documented ``ATOL`` (1e-6),
@@ -169,6 +170,11 @@ def test_every_path_matches_per_sample_forecast(paths, seed, count,
     for name in ("engine_http", "fleet_http"):
         client = paths[name]
         check(name, [client.forecast(MODEL, x).forecast for x in inputs])
+    check("engine_http nested lists", [
+        np.asarray(paths["engine_http"]._request(
+            "/v1/forecast", {"model": MODEL, "input": x.tolist()})
+            ["forecast"], dtype=np.float32)
+        for x in inputs])
 
     check("eval runner", paths["eval"].forecast_images(np.stack(inputs)))
 

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import math
 import socket
 import threading
 import time
@@ -22,12 +23,12 @@ from repro.serve import (
     ForecastServer,
     ModelRegistry,
 )
+from repro.serve.client import decode_array, encode_array
 
 
-@pytest.fixture()
-def server(tiny_model):
+def _running_server(model):
     registry = ModelRegistry()
-    registry.register("tiny", tiny_model)
+    registry.register("tiny", model)
     engine = BatchingEngine(registry, max_batch=4, max_wait_ms=2.0,
                             cache=ForecastCache(16))
     with ForecastServer(engine, port=0) as running:
@@ -36,8 +37,20 @@ def server(tiny_model):
 
 
 @pytest.fixture()
+def server(tiny_model):
+    yield from _running_server(tiny_model)
+
+
+@pytest.fixture()
 def client(server):
     return ForecastClient(port=server.port)
+
+
+@pytest.fixture(scope="class")
+def shared_server(tiny_model):
+    """One server for a class whose tests read no state another test
+    leaves behind (a server's stop costs half a second)."""
+    yield from _running_server(tiny_model)
 
 
 def _raw_post(port: int, length: bytes, body: bytes) -> tuple[int, dict]:
@@ -52,10 +65,21 @@ def _raw_post(port: int, length: bytes, body: bytes) -> tuple[int, dict]:
 
 
 def _non_finite_payload(case: str) -> dict:
-    """A forecast body carrying one NaN/Infinity at the named field."""
+    """A forecast body carrying one NaN/Infinity at the named field
+    (``object-*`` cases: in array-object form)."""
     x = np.zeros((4, 16, 16), np.float32)
     place = np.zeros((16, 16, 3), np.float32)
     connect = np.zeros((16, 16), np.float32)
+    if case == "object-input-nan":
+        x[1, 2, 3] = np.nan
+        return {"model": "tiny", "input": encode_array(x)}
+    if case.startswith("object-"):
+        if case == "object-place-inf":
+            place[0, 0, 0] = np.inf
+        else:
+            connect[5, 5] = -np.inf
+        return {"model": "tiny", "place_image": encode_array(place),
+                "connect_image": encode_array(connect)}
     if case.startswith("input"):
         x[1, 2, 3] = {"input-nan": np.nan, "input-inf": np.inf,
                       "input-neg-inf": -np.inf}[case]
@@ -92,12 +116,20 @@ class TestEndpoints:
         reply = client.forecast("tiny", x=x)
         assert reply.model == "tiny"
         assert reply.forecast.shape == (16, 16, 3)
+        assert reply.forecast.dtype == np.float32
+        assert reply.forecast.flags.writeable
         assert reply.cached is False
         assert reply.latency_ms > 0
-        # JSON round-trips float32 exactly (decimal repr is exact for
-        # binary floats), so even over HTTP the forecast is bitwise.
+        # The client's array objects carry the float32 bytes themselves.
         np.testing.assert_array_equal(reply.forecast,
                                       tiny_model.forecast(x))
+        # Nested lists round-trip float32 exactly too (a float32's
+        # shortest repr parses back to the same double and float32).
+        nested = client._request("/v1/forecast",
+                                 {"model": "tiny", "input": x.tolist()})
+        np.testing.assert_array_equal(
+            np.asarray(nested["forecast"], dtype=np.float32),
+            tiny_model.forecast(x))
 
     def test_repeat_request_is_cached(self, client):
         x = np.random.default_rng(4).normal(
@@ -150,6 +182,146 @@ class TestEndpoints:
                 reply.forecast, tiny_model.forecast(xs[index]))
 
 
+def _post(client, body: dict) -> dict:
+    return client._request("/v1/forecast", body)
+
+
+class TestWireForms:
+    """Each array field is a nested list or an array object, and the
+    forecast comes back in the request's form.  Every test sends inputs
+    no other test sends."""
+
+    @pytest.fixture()
+    def client(self, shared_server):
+        return ForecastClient(port=shared_server.port)
+
+    def test_object_input_gets_object_forecast(self, client, tiny_model):
+        x = np.random.default_rng(8).normal(
+            size=(4, 16, 16)).astype(np.float32)
+        first = _post(client, {"model": "tiny", "input": encode_array(x)})
+        assert set(first) == {"model", "shape", "forecast", "cached",
+                              "latency_ms"}
+        assert set(first["forecast"]) == {"b64", "shape"}
+        assert first["shape"] == first["forecast"]["shape"] == [16, 16, 3]
+        assert first["cached"] is False
+        np.testing.assert_array_equal(decode_array(first["forecast"]),
+                                      tiny_model.forecast(x))
+        again = _post(client, {"model": "tiny", "input": encode_array(x)})
+        assert again["cached"] is True
+        assert again["forecast"] == first["forecast"]
+
+    def test_object_images_get_object_forecast(self, client, tiny_model):
+        rng = np.random.default_rng(9)
+        place = rng.random((16, 16, 3)).astype(np.float32)
+        connect = rng.random((16, 16)).astype(np.float32)
+        body = {"model": "tiny", "place_image": encode_array(place),
+                "connect_image": encode_array(connect),
+                "connect_weight": 0.2}
+        first = _post(client, body)
+        assert set(first["forecast"]) == {"b64", "shape"}
+        assert first["cached"] is False
+        np.testing.assert_array_equal(
+            decode_array(first["forecast"]),
+            tiny_model.forecast(make_input_stack(place, connect, 0.2)))
+        again = _post(client, body)
+        assert again["cached"] is True
+        assert again["forecast"] == first["forecast"]
+
+    def test_nested_list_request_gets_nested_lists(self, client, tiny_model):
+        x = np.random.default_rng(10).normal(
+            size=(4, 16, 16)).astype(np.float32)
+        first = _post(client, {"model": "tiny", "input": x.tolist()})
+        assert set(first) == {"model", "shape", "forecast", "cached",
+                              "latency_ms"}
+        assert first["forecast"] == tiny_model.forecast(x).tolist()
+        assert first["cached"] is False
+        # The cache is shared across forms: same input, same key.
+        again = _post(client, {"model": "tiny", "input": encode_array(x)})
+        assert again["cached"] is True
+        assert decode_array(again["forecast"]).tolist() == first["forecast"]
+
+    def test_array_object_codec_roundtrip(self):
+        for array in (np.arange(24, dtype=np.float32).reshape(2, 3, 4),
+                      np.zeros((0, 5), np.float32),
+                      np.float32(2.5),
+                      np.linspace(0, 1, 12).reshape(3, 4).T):
+            wire = encode_array(array)
+            assert json.loads(json.dumps(wire)) == wire
+            decoded = decode_array(wire)
+            assert decoded.dtype == np.float32
+            assert decoded.flags.writeable
+            assert decoded.shape == np.shape(array)
+            assert decoded.tobytes() == np.asarray(
+                array, np.float32).tobytes()
+
+    @pytest.mark.parametrize("field", ["input", "place_image",
+                                       "connect_image"])
+    @pytest.mark.parametrize("damage", [
+        {"b64": None},                               # missing 'b64'
+        {"extra": 1},                                # a third key
+        {"b64": 12},                                 # non-string b64
+        {"b64": "not base64!"},                      # invalid base64
+        {"b64": "AAAA" * 3},                         # 12 bytes, not 4·prod
+        {"shape": [-1]},                             # negative dimension
+        {"shape": [True, 4]},                        # bool dimension
+        {"shape": [4.0]},                            # float dimension
+        {"shape": [2 ** 70]},                        # overflowing dimension
+        {"b64": "", "shape": [0, 2 ** 70]},          # ... with zero bytes
+        {"shape": "16x16"},                          # shape not a list
+        {"shape": None},                             # missing 'shape'
+    ], ids=["missing-key", "extra-key", "b64-not-string", "invalid-base64",
+            "byte-count", "negative-dim", "bool-dim", "float-dim",
+            "huge-dim", "huge-dim-no-bytes", "shape-not-list",
+            "missing-shape"])
+    def test_bad_array_object_400_names_the_field(self, client, field,
+                                                  damage):
+        arrays = {"input": np.zeros((4, 16, 16), np.float32),
+                  "place_image": np.zeros((16, 16, 3), np.float32),
+                  "connect_image": np.zeros((16, 16), np.float32)}
+        wire = {key: value for key, value in
+                {**encode_array(arrays[field]), **damage}.items()
+                if value is not None}
+        if field == "input":
+            body = {"model": "tiny", "input": wire}
+        else:
+            body = {"model": "tiny",
+                    "place_image": encode_array(arrays["place_image"]),
+                    "connect_image": encode_array(arrays["connect_image"]),
+                    field: wire}
+        with pytest.raises(ClientError) as excinfo:
+            _post(client, body)
+        assert excinfo.value.status == 400
+        assert f"'{field}'" in excinfo.value.message
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["input", "place_image", "connect_image"]),
+           shape=st.lists(st.integers(), max_size=6) | st.sampled_from(
+               [[4, 16, 16], [16, 16, 3], [16, 16], [4, 0, 0], [0, 16, 16],
+                [4, 16, 16, 1], [8, 8]]),
+           text=st.none() | st.text(max_size=24))
+    def test_array_object_bodies_never_5xx(self, shared_server, field,
+                                           shape, text):
+        if text is None:    # the bytes a sane, small shape asks for
+            count = math.prod(shape) if min(shape, default=0) >= 0 else 0
+            text = encode_array(np.full(min(count, 4096), 0.5,
+                                        np.float32))["b64"]
+        wire = {"b64": text, "shape": shape}
+        if field == "input":
+            body = {"model": "tiny", "input": wire}
+        else:
+            body = {"model": "tiny",
+                    "place_image": encode_array(
+                        np.zeros((16, 16, 3), np.float32)),
+                    "connect_image": encode_array(
+                        np.zeros((16, 16), np.float32)),
+                    field: wire}
+        data = json.dumps(body).encode()
+        status, _ = _raw_post(shared_server.port, str(len(data)).encode(),
+                              data)
+        assert status < 500
+
+
 class TestErrors:
     def test_unknown_model_404(self, client):
         with pytest.raises(ClientError) as excinfo:
@@ -179,7 +351,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("case", [
         "input-nan", "input-inf", "input-neg-inf", "place-nan",
-        "connect-inf", "weight-nan"])
+        "connect-inf", "weight-nan", "object-input-nan", "object-place-inf",
+        "object-connect-neg-inf"])
     def test_non_finite_input_400(self, client, case):
         with pytest.raises(ClientError) as excinfo:
             client._request("/v1/forecast", _non_finite_payload(case))
