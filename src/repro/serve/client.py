@@ -37,22 +37,27 @@ import numpy as np
 #: client mistakes (4xx) and not server-side timeouts already spent.
 RETRYABLE_STATUSES = (503,)
 
+#: The most dimensions an array object may name: numpy's own limit.
+MAX_NDIM = 64
+
 
 def encode_array(array: np.ndarray) -> dict:
     """The wire object of ``array``: base64 float32 bytes and a shape."""
-    data = np.asarray(array, dtype="<f4")
-    return {"b64": base64.b64encode(data.tobytes()).decode("ascii"),
-            "shape": list(data.shape)}
+    data = np.ascontiguousarray(array, "<f4")
+    return {"b64": base64.b64encode(data).decode("ascii"),
+            "shape": list(np.shape(array))}
 
 
 def decode_array(value) -> np.ndarray:
     """A writable float32 array from its wire object.
 
     Accepts only an object with exactly the keys ``b64`` (a base64
-    string) and ``shape`` (a list of non-negative ints) whose bytes hold
-    exactly ``prod(shape)`` float32 values; raises ``ValueError`` for
-    anything else.  The byte count is checked before any reshape, so a
-    forged shape never sizes an allocation.
+    string) and ``shape`` (a list of at most :data:`MAX_NDIM`
+    non-negative ints) whose bytes hold exactly ``prod(shape)`` float32
+    values; raises ``ValueError`` for anything else.  The byte count is
+    checked before any reshape, so a forged shape never sizes an
+    allocation, and the check costs a few small multiplications however
+    long or large the shape's numbers are.
     """
     if not isinstance(value, dict) or set(value) != {"b64", "shape"}:
         raise ValueError("an array object has exactly the keys "
@@ -60,11 +65,15 @@ def decode_array(value) -> np.ndarray:
     text, shape = value["b64"], value["shape"]
     if not isinstance(text, str):
         raise ValueError("'b64' must be a string")
-    if not isinstance(shape, list) or not all(
-            type(dim) is int and dim >= 0 for dim in shape):
-        raise ValueError("'shape' must be a list of non-negative integers")
+    if (not isinstance(shape, list) or len(shape) > MAX_NDIM
+            or not all(type(dim) is int and dim >= 0 for dim in shape)):
+        raise ValueError(f"'shape' must be a list of at most {MAX_NDIM} "
+                         "non-negative integers")
     raw = base64.b64decode(text, validate=True)   # binascii.Error: ValueError
-    if len(raw) != 4 * math.prod(shape):
+    # A dim past the byte count cannot match unless another dim is 0, so
+    # clamping each dim there keeps the product's ints small.
+    bound = len(raw) + 1
+    if len(raw) != 4 * math.prod(min(dim, bound) for dim in shape):
         raise ValueError(f"{len(raw)} bytes do not hold a float32 array "
                          f"of shape {shape}")
     return np.frombuffer(raw, "<f4").astype(np.float32).reshape(shape)

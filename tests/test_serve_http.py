@@ -1,5 +1,6 @@
 """HTTP API + client round-trips on an ephemeral port."""
 
+import base64
 import http.client
 import json
 import math
@@ -23,7 +24,7 @@ from repro.serve import (
     ForecastServer,
     ModelRegistry,
 )
-from repro.serve.client import decode_array, encode_array
+from repro.serve.client import MAX_NDIM, decode_array, encode_array
 
 
 def _running_server(model):
@@ -267,12 +268,14 @@ class TestWireForms:
         {"shape": [4.0]},                            # float dimension
         {"shape": [2 ** 70]},                        # overflowing dimension
         {"b64": "", "shape": [0, 2 ** 70]},          # ... with zero bytes
+        {"shape": [10 ** 4000] * MAX_NDIM},          # many huge dimensions
+        {"shape": [1] * (MAX_NDIM + 1)},             # too many dimensions
         {"shape": "16x16"},                          # shape not a list
         {"shape": None},                             # missing 'shape'
     ], ids=["missing-key", "extra-key", "b64-not-string", "invalid-base64",
             "byte-count", "negative-dim", "bool-dim", "float-dim",
-            "huge-dim", "huge-dim-no-bytes", "shape-not-list",
-            "missing-shape"])
+            "huge-dim", "huge-dim-no-bytes", "many-huge-dims",
+            "too-many-dims", "shape-not-list", "missing-shape"])
     def test_bad_array_object_400_names_the_field(self, client, field,
                                                   damage):
         arrays = {"input": np.zeros((4, 16, 16), np.float32),
@@ -292,6 +295,30 @@ class TestWireForms:
             _post(client, body)
         assert excinfo.value.status == 400
         assert f"'{field}'" in excinfo.value.message
+
+    def test_long_shape_400_without_stalling(self, shared_server):
+        # At a million dims, multiplying them out holds the GIL (and so
+        # every handler and the engine) for seconds; the length check
+        # answers at once.
+        client = ForecastClient(port=shared_server.port, timeout=5.0)
+        with pytest.raises(ClientError) as excinfo:
+            _post(client, {"model": "tiny",
+                           "input": {"b64": "", "shape": [2] * 1_000_000}})
+        assert excinfo.value.status == 400
+        assert "'input'" in excinfo.value.message
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.lists(st.integers(0, 6) | st.integers(0, 2 ** 16),
+                          max_size=3),
+           nbytes=st.integers(0, 600))
+    def test_decode_checks_the_exact_byte_count(self, shape, nbytes):
+        wire = {"b64": base64.b64encode(bytes(nbytes)).decode(),
+                "shape": shape}
+        if nbytes == 4 * math.prod(shape):
+            assert decode_array(wire).shape == tuple(shape)
+        else:
+            with pytest.raises(ValueError, match="bytes do not hold"):
+                decode_array(wire)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
