@@ -306,6 +306,7 @@ class TestWireForms:
                            "input": {"b64": "", "shape": [2] * 1_000_000}})
         assert excinfo.value.status == 400
         assert "'input'" in excinfo.value.message
+        assert f"at most {MAX_NDIM}" in excinfo.value.message
 
     @settings(max_examples=300, deadline=None)
     @given(shape=st.lists(st.integers(0, 6) | st.integers(0, 2 ** 16),
