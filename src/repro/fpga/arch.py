@@ -15,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:   # import at runtime would cycle: the router imports this
+    from repro.fpga.router import ChannelGraph
 
 
 class BlockType(str, Enum):
@@ -142,6 +146,14 @@ class FpgaArchitecture:
     @cached_property
     def mul_sites(self) -> tuple[Site, ...]:
         return self._macro_sites(self.mul_columns, self.mul_height)
+
+    @cached_property
+    def channel_graph(self) -> ChannelGraph:
+        """The routing-channel graph, built once and shared by every router
+        on this architecture (:class:`repro.fpga.router.ChannelGraph`)."""
+        from repro.fpga.router import ChannelGraph
+
+        return ChannelGraph(self)
 
     def _macro_sites(self, columns: tuple[int, ...], block_height: int
                      ) -> tuple[Site, ...]:

@@ -80,14 +80,12 @@ class ChannelGraph:
                     for hx in (x, x + 1):
                         if 1 <= hx <= width and 0 <= cy <= height:
                             adjacency[node].append(self.h_index(hx, cy))
-        self.adjacency = [np.array(sorted(set(n)), dtype=np.int32)
-                          for n in adjacency]
-        # Plain-python mirrors for the A* inner loop.
+        # Plain-python lists: the A* inner loop indexes them.
         self.adjacency_lists = [sorted(set(n)) for n in adjacency]
-        self.coord_x = coords[:, 0].tolist()
-        self.coord_y = coords[:, 1].tolist()
+        # Read-only: every router on the architecture shares this graph.
         self.capacity = np.full(self.num_nodes, arch.channel_width,
                                 dtype=np.int32)
+        self.capacity.flags.writeable = False
 
     def h_index(self, x: int, y: int) -> int:
         """Node id of horizontal segment H(x, y)."""
@@ -194,14 +192,16 @@ class PathFinderRouter:
 
     def __init__(self, netlist: Netlist, arch: FpgaArchitecture,
                  placement: Placement,
-                 options: RouterOptions | None = None,
-                 graph: ChannelGraph | None = None):
+                 options: RouterOptions | None = None):
         self.netlist = netlist
         self.arch = arch
         self.placement = placement
         self.options = options if options is not None else RouterOptions()
-        self.graph = graph if graph is not None else ChannelGraph(arch)
+        self.graph = arch.channel_graph
         self._access_cache: dict[int, list[int]] = {}
+        # A* heuristic tables, one per distinct target list (see
+        # :meth:`_heuristic`); they live and die with the router.
+        self._heuristics: dict[tuple[int, ...], list[float]] = {}
 
     # -- public API --------------------------------------------------------------
 
@@ -315,6 +315,25 @@ class PathFinderRouter:
             tree.update(path)
         return frozenset(tree)
 
+    def _heuristic(self, targets: list[int]) -> list[float]:
+        """Per node: ``astar_weight`` times the least Manhattan distance to
+        any target segment.
+
+        Coordinates are half-integers, so these float64 values are exactly
+        what a per-node ``min`` over the targets gives.
+        """
+        key = tuple(targets)
+        table = self._heuristics.get(key)
+        if table is None:
+            coords = self.graph.coords
+            target_xy = coords[targets]
+            distance = (np.abs(coords[:, None, 0] - target_xy[None, :, 0])
+                        + np.abs(coords[:, None, 1] - target_xy[None, :, 1]))
+            table = (self.options.astar_weight
+                     * distance.min(axis=1)).tolist()
+            self._heuristics[key] = table
+        return table
+
     def _shortest_path(self, sources: list[int],
                        targets: list[int]) -> list[int]:
         """A* over segments from any source to any target.
@@ -330,35 +349,19 @@ class PathFinderRouter:
 
         cost_list = self._cost_list
         adjacency = graph.adjacency_lists
-        cx = graph.coord_x
-        cy = graph.coord_y
-        weight = self.options.astar_weight
-        target_xy = [(cx[t], cy[t]) for t in target_set]
-
-        h_cache: dict[int, float] = {}
-
-        def heuristic(node: int) -> float:
-            value = h_cache.get(node)
-            if value is None:
-                nx_, ny_ = cx[node], cy[node]
-                value = weight * min(
-                    abs(nx_ - tx) + abs(ny_ - ty) for tx, ty in target_xy)
-                h_cache[node] = value
-            return value
-
-        dist: dict[int, float] = {}
+        heuristic = self._heuristic(targets)
+        dist = [float("inf")] * graph.num_nodes
         parent: dict[int, int] = {}
         frontier: list[tuple[float, float, int]] = []
-        inf = float("inf")
         for source in set(sources):
             cost = cost_list[source]
             dist[source] = cost
             parent[source] = -1
-            heapq.heappush(frontier, (cost + heuristic(source), cost, source))
+            heapq.heappush(frontier, (cost + heuristic[source], cost, source))
 
         while frontier:
             _, cost, node = heapq.heappop(frontier)
-            if cost > dist.get(node, inf):
+            if cost > dist[node]:
                 continue
             if node in target_set:
                 path = [node]
@@ -368,12 +371,12 @@ class PathFinderRouter:
                 return path
             for neighbor in adjacency[node]:
                 next_cost = cost + cost_list[neighbor]
-                if next_cost < dist.get(neighbor, inf):
+                if next_cost < dist[neighbor]:
                     dist[neighbor] = next_cost
                     parent[neighbor] = node
                     heapq.heappush(
                         frontier,
-                        (next_cost + heuristic(neighbor), next_cost, neighbor))
+                        (next_cost + heuristic[neighbor], next_cost, neighbor))
         raise RuntimeError("disconnected routing graph (should not happen)")
 
 

@@ -40,6 +40,11 @@ RETRYABLE_STATUSES = (503,)
 #: The most dimensions an array object may name: numpy's own limit.
 MAX_NDIM = 64
 
+#: A refused shape's error message echoes at most this many of its dims,
+#: and the digits of a dim only below ``_ECHO_LIMIT``.
+_ECHO_DIMS = 4
+_ECHO_LIMIT = 10 ** 12
+
 
 def encode_array(array: np.ndarray) -> dict:
     """The wire object of ``array``: base64 float32 bytes and a shape."""
@@ -75,8 +80,19 @@ def decode_array(value) -> np.ndarray:
     bound = len(raw) + 1
     if len(raw) != 4 * math.prod(min(dim, bound) for dim in shape):
         raise ValueError(f"{len(raw)} bytes do not hold a float32 array "
-                         f"of shape {shape}")
+                         f"of shape {_shape_text(shape)}")
     return np.frombuffer(raw, "<f4").astype(np.float32).reshape(shape)
+
+
+def _shape_text(shape: list[int]) -> str:
+    """A shape for an error message, of bounded length however hostile:
+    its first dims and its ndim.  A dim of thousands of digits shows as
+    its bit length, so it costs no int-to-str work."""
+    dims = [str(dim) if dim < _ECHO_LIMIT else f"<{dim.bit_length()}-bit int>"
+            for dim in shape[:_ECHO_DIMS]]
+    if len(shape) > _ECHO_DIMS:
+        dims.append("...")
+    return f"[{', '.join(dims)}] (ndim {len(shape)})"
 
 
 class ClientError(Exception):

@@ -71,6 +71,11 @@ MAX_BODY_BYTES = 64 << 20
 #: dropped (a stalled request body is answered 408 first).
 READ_TIMEOUT_SECONDS = 30.0
 
+#: Seconds between the accept loop's checks for a stop request, and so
+#: the most :meth:`ForecastServer.stop` waits for it (socketserver's
+#: default is 0.5 s).
+SHUTDOWN_POLL_SECONDS = 0.05
+
 #: Prometheus text exposition content type (the format /metrics defaults to).
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -372,7 +377,7 @@ class ForecastServer:
         self.started_at = time.time()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="forecast-http",
-            daemon=True)
+            kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS}, daemon=True)
         self._thread.start()
         self.worker_id = f"{self.host}-{self.port}"
         if self.obs_dir is not None:

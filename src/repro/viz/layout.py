@@ -11,6 +11,8 @@ guarantees it, power-of-two because the U-Net halves the image repeatedly).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.fpga.arch import BlockType, FpgaArchitecture, Site
@@ -177,15 +179,35 @@ class FloorplanLayout:
         rows = (2 * self.image_size - top_end - anchor_start) // 2
         return cols, rows
 
+    @cached_property
+    def channel_pixels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, nodes)`` of every routing-channel pixel, read-only.
+
+        ``nodes[i]`` is the channel segment that pixel ``i`` shows, as a
+        node id of ``arch.channel_graph``.  Horizontal and vertical segment
+        rects never overlap, so each pixel appears once.
+        """
+        graph = self.arch.channel_graph
+        segments = [(self.hchan_rect(x, y), graph.h_index(x, y))
+                    for x in range(1, self.arch.width + 1)
+                    for y in range(0, self.arch.height + 1)]
+        segments += [(self.vchan_rect(x, y), graph.v_index(x, y))
+                     for x in range(0, self.arch.width + 1)
+                     for y in range(1, self.arch.height + 1)]
+        rows, cols, nodes = [], [], []
+        for (x0, y0, x1, y1), node in segments:
+            row, col = np.mgrid[y0:y1, x0:x1]
+            rows.append(row.ravel())
+            cols.append(col.ravel())
+            nodes.append(np.full(row.size, node))
+        pixels = tuple(np.concatenate(part) for part in (rows, cols, nodes))
+        for array in pixels:
+            array.flags.writeable = False
+        return pixels
+
     def channel_pixel_mask(self) -> np.ndarray:
         """Boolean (size, size) mask of all routing-channel pixels."""
+        rows, cols, _ = self.channel_pixels
         mask = np.zeros((self.image_size, self.image_size), dtype=bool)
-        for x in range(1, self.arch.width + 1):
-            for y in range(0, self.arch.height + 1):
-                x0, y0, x1, y1 = self.hchan_rect(x, y)
-                mask[y0:y1, x0:x1] = True
-        for x in range(0, self.arch.width + 1):
-            for y in range(1, self.arch.height + 1):
-                x0, y0, x1, y1 = self.vchan_rect(x, y)
-                mask[y0:y1, x0:x1] = True
+        mask[rows, cols] = True
         return mask

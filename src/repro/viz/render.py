@@ -91,21 +91,9 @@ def render_routing(placement: Placement, routing: RoutingResult,
     if place_image is None:
         place_image = render_placement(placement, layout, scheme)
     image = place_image.copy()
-    canvas = Canvas(layout.image_size, layout.image_size)
-    canvas.pixels = image
-
-    arch = placement.arch
-    h_util = routing.h_utilization()
-    v_util = routing.v_utilization()
-    for x in range(1, arch.width + 1):
-        for y in range(0, arch.height + 1):
-            color = utilization_to_rgb(float(h_util[x - 1, y]), scheme)
-            canvas.fill_rect(*layout.hchan_rect(x, y), color)
-    for x in range(0, arch.width + 1):
-        for y in range(1, arch.height + 1):
-            color = utilization_to_rgb(float(v_util[x, y - 1]), scheme)
-            canvas.fill_rect(*layout.vchan_rect(x, y), color)
-    return canvas.to_array()
+    rows, cols, nodes = layout.channel_pixels
+    image[rows, cols] = utilization_to_rgb(routing.utilization, scheme)[nodes]
+    return image
 
 
 def difference_image(image_a: np.ndarray, image_b: np.ndarray) -> np.ndarray:

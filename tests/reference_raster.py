@@ -1,14 +1,20 @@
-"""The slow reference raster: one Python Bresenham loop per line.
+"""The slow reference raster: one Python loop per line or channel segment.
 
 ``repro.viz.raster.line_pixels`` and ``repro.viz.render_connectivity``
 draw every line in one vectorized pass; both must be bitwise equal to
 the loops here (``tests/test_viz_raster_png.py``,
 ``tests/test_viz_layout_render.py``).  Block centers come from
 ``FloorplanLayout.block_rect`` one block at a time, not from the
-vectorized ``block_centers``.
+vectorized ``block_centers``.  ``render_routing`` and
+``FloorplanLayout.channel_pixel_mask`` paint every channel pixel in one
+fancy-index assignment; they must be bitwise equal to the per-segment
+rect loops here (``tests/test_route_reference.py``).
 """
 
 import numpy as np
+
+from repro.viz.colors import utilization_to_rgb
+from repro.viz.raster import Canvas
 
 
 def draw_line_accumulate(buffer: np.ndarray, x0: int, y0: int,
@@ -59,3 +65,38 @@ def reference_connectivity(netlist, placement, layout,
     if peak > 0:
         accumulator /= peak
     return accumulator
+
+
+def reference_channel_pixel_mask(layout) -> np.ndarray:
+    """``channel_pixel_mask`` as one rect fill per channel segment."""
+    arch = layout.arch
+    mask = np.zeros((layout.image_size, layout.image_size), dtype=bool)
+    for x in range(1, arch.width + 1):
+        for y in range(0, arch.height + 1):
+            x0, y0, x1, y1 = layout.hchan_rect(x, y)
+            mask[y0:y1, x0:x1] = True
+    for x in range(0, arch.width + 1):
+        for y in range(1, arch.height + 1):
+            x0, y0, x1, y1 = layout.vchan_rect(x, y)
+            mask[y0:y1, x0:x1] = True
+    return mask
+
+
+def reference_render_routing(placement, routing, layout,
+                             place_image) -> np.ndarray:
+    """``render_routing`` as one colour and one rect fill per segment."""
+    image = place_image.copy()
+    canvas = Canvas(layout.image_size, layout.image_size)
+    canvas.pixels = image
+    arch = placement.arch
+    h_util = routing.h_utilization()
+    v_util = routing.v_utilization()
+    for x in range(1, arch.width + 1):
+        for y in range(0, arch.height + 1):
+            color = utilization_to_rgb(float(h_util[x - 1, y]))
+            canvas.fill_rect(*layout.hchan_rect(x, y), color)
+    for x in range(0, arch.width + 1):
+        for y in range(1, arch.height + 1):
+            color = utilization_to_rgb(float(v_util[x, y - 1]))
+            canvas.fill_rect(*layout.vchan_rect(x, y), color)
+    return canvas.to_array()

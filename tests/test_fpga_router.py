@@ -74,8 +74,7 @@ class TestChannelGraph:
         graph = ChannelGraph(FpgaArchitecture(5, 4))
         for node, neighbors in enumerate(graph.adjacency_lists):
             for neighbor in neighbors:
-                dx = abs(graph.coord_x[node] - graph.coord_x[neighbor])
-                dy = abs(graph.coord_y[node] - graph.coord_y[neighbor])
+                dx, dy = np.abs(graph.coords[node] - graph.coords[neighbor])
                 assert dx + dy <= 1.0 + 1e-9
 
     def test_graph_is_connected(self):

@@ -50,7 +50,7 @@ def client(server):
 @pytest.fixture(scope="class")
 def shared_server(tiny_model):
     """One server for a class whose tests read no state another test
-    leaves behind (a server's stop costs half a second)."""
+    leaves behind."""
     yield from _running_server(tiny_model)
 
 
@@ -308,6 +308,25 @@ class TestWireForms:
         assert "'input'" in excinfo.value.message
         assert f"at most {MAX_NDIM}" in excinfo.value.message
 
+    def test_byte_count_error_is_bounded(self, shared_server):
+        # 64 dims of 4,000 digits: echoing the whole shape would answer
+        # with 256 KB of digits and format them on every request.
+        body = json.dumps({"model": "tiny", "input": {
+            "b64": "", "shape": [10 ** 3999] * MAX_NDIM}}).encode()
+        connection = http.client.HTTPConnection("127.0.0.1",
+                                                shared_server.port,
+                                                timeout=10)
+        try:
+            connection.request("POST", "/v1/forecast", body,
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            reply = response.read()
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert len(reply) < 1024
+        assert "bytes do not hold" in json.loads(reply)["error"]
+
     @settings(max_examples=300, deadline=None)
     @given(shape=st.lists(st.integers(0, 6) | st.integers(0, 2 ** 16),
                           max_size=3),
@@ -501,6 +520,17 @@ class TestShutdown:
             real_thread.join(10.0)
             if engine.running:
                 engine.stop()
+
+    def test_idle_stop_is_prompt(self, tiny_model):
+        """stop() waits out one short accept-loop poll, not socketserver's
+        default half second."""
+        registry = ModelRegistry()
+        registry.register("tiny", tiny_model)
+        server = ForecastServer(BatchingEngine(registry), port=0).start()
+        time.sleep(0.05)
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.25
 
     def test_clean_stop_does_not_raise(self, tiny_model):
         registry = ModelRegistry()
