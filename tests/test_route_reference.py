@@ -42,6 +42,12 @@ def assert_same_route(result, reference):
     assert result.wirelength == reference.wirelength
 
 
+def third_width(context):
+    """The design's architecture at a third of its sized channel width."""
+    return paper_architecture(context.arch.width,
+                              channel_width=max(1, context.channel_width // 3))
+
+
 @pytest.fixture(scope="module", params=SUITE, ids=lambda spec: spec.name)
 def routed_design(request):
     """A design's context and three placements: two anneals, one random."""
@@ -64,8 +70,7 @@ class TestRouteMatchesReference:
 
     def test_third_width_negotiates_to_the_cap(self, routed_design):
         context, placements = routed_design
-        third = max(1, context.channel_width // 3)
-        narrow = paper_architecture(context.arch.width, channel_width=third)
+        narrow = third_width(context)
         capped = 0
         for placement in placements:
             placement = Placement(context.netlist, narrow,
@@ -91,13 +96,19 @@ class TestRouteMatchesReference:
                             ReferenceRouter)
         assert fast == estimates()
 
-    def test_render_routing_and_mask(self, routed_design):
+    @pytest.mark.parametrize("sized", [True, False],
+                             ids=["sized", "third-width"])
+    def test_render_routing_and_mask(self, routed_design, sized):
+        """At a third of the width, overused segments clip their colour."""
         context, placements = routed_design
         layout = context.layout
+        arch = context.arch if sized else third_width(context)
         assert np.array_equal(layout.channel_pixel_mask(),
                               reference_channel_pixel_mask(layout))
         for placement in placements:
-            routing = PathFinderRouter(context.netlist, context.arch,
+            placement = Placement(context.netlist, arch,
+                                  list(placement.site_of))
+            routing = PathFinderRouter(context.netlist, arch,
                                        placement).route()
             place_image = render_placement(placement, layout,
                                            base=context.floor_image)
