@@ -150,7 +150,11 @@ class FpgaArchitecture:
     @cached_property
     def channel_graph(self) -> ChannelGraph:
         """The routing-channel graph, built once and shared by every router
-        on this architecture (:class:`repro.fpga.router.ChannelGraph`)."""
+        on this architecture (:class:`repro.fpga.router.ChannelGraph`).
+
+        It holds the channel width as of its first read: route another
+        width on a new architecture, as ``estimate_channel_width`` does.
+        """
         from repro.fpga.router import ChannelGraph
 
         return ChannelGraph(self)
