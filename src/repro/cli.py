@@ -356,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="micro-batch size (batches form at the "
                                "router)")
     fleet_up.add_argument("--max-wait-ms", type=float, default=2.0,
-                          help="batch wait for stragglers (per worker "
-                               "lane: only on its first batch and after "
-                               "a batch of more than one request)")
+                          help="batch wait for stragglers (only on the "
+                               "first batch and after a batch of more "
+                               "than one request)")
     fleet_up.add_argument("--cache-size", type=int, default=256,
                           help="shared forecast LRU capacity "
                                "(0 disables caching)")
@@ -698,7 +698,7 @@ def cmd_serve(args) -> int:
         print(f"serving {len(registry)} model(s) on {server.url} "
               f"(max_batch={args.max_batch}, "
               f"max_wait_ms={args.max_wait_ms}, "
-              f"cache={args.cache_size})", flush=True)
+              f"cache={args.cache_size}, lanes={engine.lanes})", flush=True)
         if args.obs_dir is not None:
             print(f"[obs] publishing telemetry to {args.obs_dir} "
                   f"every {args.publish_interval}s", flush=True)

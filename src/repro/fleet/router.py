@@ -1,7 +1,7 @@
 """Multi-worker serve front: one batching engine, N worker processes.
 
-The single-process :class:`~repro.serve.engine.BatchingEngine` runs every
-forward on one thread — its throughput ceiling is one core.
+The single-process :class:`~repro.serve.engine.BatchingEngine` runs its
+forwards on one lane thread per usable CPU, all in this process.
 :class:`FleetRouter` *is* that engine with one drain lane per
 :class:`ProcessWorker`: requests are validated, cached, deadlined and
 batched once, at the front, and each lane ships its stacked batch down
@@ -319,7 +319,7 @@ class FleetRouter(BatchingEngine):
     ``registry`` holds the served models' metadata in this process (for
     validation and ``/v1/models``); the forwards run in the workers.
     ``max_batch`` and ``max_wait_ms`` shape the batches formed here, at
-    the front; each worker's lane follows the engine's hold policy.
+    the front; the lanes share the engine's hold policy.
     """
 
     def __init__(self, workers: list, registry: ModelRegistry,
@@ -361,7 +361,8 @@ class FleetRouter(BatchingEngine):
             for worker_id in ids}
         super().__init__(registry, max_batch=max_batch,
                          max_wait_ms=max_wait_ms, cache=cache,
-                         metrics=metrics, tracer=tracer)
+                         metrics=metrics, tracer=tracer,
+                         lanes=len(self.workers))
 
     @classmethod
     def local(cls, checkpoints: str | Path, workers: int = 2,

@@ -4,7 +4,8 @@
   connections (``all`` / ``single`` / ``none``, Section 5.3 ablation).
 * :mod:`repro.gan.discriminator` — patch discriminator (Figure 5 bottom).
 * :mod:`repro.gan.pix2pix` — the adversarial training step with the
-  ``cGAN + lambda_L1 * L1`` objective.
+  ``cGAN + lambda_L1 * L1`` objective, and the inference-only generator
+  copy a second serving thread forecasts on.
 * :mod:`repro.gan.dataset` — image-pair containers and normalization.
 * :mod:`repro.gan.metrics` — per-pixel accuracy, Top-10, congestion decode.
 * :mod:`repro.gan.trainer` — epochs, evaluation, transfer fine-tuning.
@@ -18,12 +19,13 @@ from repro.gan.metrics import (
     speedup,
     top_k_overlap,
 )
-from repro.gan.pix2pix import Pix2Pix, Pix2PixConfig
+from repro.gan.pix2pix import GeneratorReplica, Pix2Pix, Pix2PixConfig
 from repro.gan.trainer import Pix2PixTrainer, TrainHistory
 from repro.gan.unet import UNetGenerator
 
 __all__ = [
     "Dataset",
+    "GeneratorReplica",
     "PatchDiscriminator",
     "Pix2Pix",
     "Pix2PixConfig",

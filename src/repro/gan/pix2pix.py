@@ -260,16 +260,54 @@ class Pix2Pix:
         accordingly.  Defaults to the deterministic (noise-free) pass used
         for scoring, caching, and serving.
         """
-        from repro.gan.dataset import from_unit_range_
+        return _forecast_images(
+            lambda batch: self.generate(batch, sample_noise=sample_noise), x)
 
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim not in (3, 4):
-            raise ValueError(
-                f"expected (C, H, W) or (N, C, H, W) input, got {x.shape}")
-        single = x.ndim == 3
-        out = self.generate(x[None] if single else x,
-                            sample_noise=sample_noise)
-        # The tanh output is fresh and ours: denormalize in place over the
-        # contiguous NCHW layout, then hand out the (N, H, W, 3) view.
-        images = from_unit_range_(out).transpose(0, 2, 3, 1)
-        return images[0] if single else images
+
+def _forecast_images(generate, x: np.ndarray) -> np.ndarray:
+    """Run ``generate`` (an NCHW generator pass) on one input or a batch
+    and turn its tanh output into (H, W, 3) images in [0, 1]."""
+    from repro.gan.dataset import from_unit_range_
+
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim not in (3, 4):
+        raise ValueError(
+            f"expected (C, H, W) or (N, C, H, W) input, got {x.shape}")
+    single = x.ndim == 3
+    out = generate(x[None] if single else x)
+    # The tanh output is fresh and ours: denormalize in place over the
+    # contiguous NCHW layout, then hand out the (N, H, W, 3) view.
+    images = from_unit_range_(out).transpose(0, 2, 3, 1)
+    return images[0] if single else images
+
+
+class GeneratorReplica:
+    """An inference-only copy of a model's generator, for another thread.
+
+    A serving lane other than the first forecasts on one of these while
+    the first runs the registered :class:`Pix2Pix` (layers keep
+    activations and arena scratch on ``self``, so two threads never share
+    one tree).  It is built from the generator's module tree
+    (:meth:`repro.nn.layers.Module.inference_copy`), never by copying the
+    model object, so nothing shimmed onto the model or its layers is
+    carried over; there is no discriminator, optimizer or random init.
+    The copy has its own workspace arena and fold caches and *shares* the
+    generator's parameters and running statistics read-only: the
+    deterministic pass never writes them, and sharing saves a copy of the
+    weights per lane (218 MB for the paper's 54 M-parameter model).  The
+    flip side: the source must not be trained or reloaded while a
+    replica serves, which the serving engine already requires of every
+    registered model.
+
+    :meth:`forecast` is bitwise :meth:`Pix2Pix.forecast`: the same
+    ``forward_eval`` over the same weights, through the same conversion.
+    """
+
+    def __init__(self, generator: UNetGenerator):
+        self.workspace = Workspace()
+        self.generator = generator.inference_copy()
+        self.generator.attach_workspace(self.workspace)
+
+    def forecast(self, x: np.ndarray) -> np.ndarray:
+        """Deterministic :meth:`Pix2Pix.forecast` on this copy."""
+        return _forecast_images(self.generator.forward_eval, x)

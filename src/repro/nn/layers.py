@@ -16,7 +16,8 @@ Every module has two passes and one memory path:
   masks) through per-layer arena slots instead of allocating per call.
   The arena contract: a layer's outputs and caches stay valid until that
   layer runs the same pass again, which the sequential train step and the
-  single-threaded serving worker satisfy by construction.
+  serving engine's lanes (one thread per model copy, see
+  :meth:`Module.inference_copy`) satisfy by construction.
 * **Training and inference passes** — ``forward`` is the training pass
   (batch statistics, dropout, gradient caches).  :meth:`Module.forward_eval`
   is the only inference pass: running statistics, no dropout, no gradient
@@ -30,6 +31,7 @@ Every module has two passes and one memory path:
 
 from __future__ import annotations
 
+import types
 from typing import Iterator
 
 import numpy as np
@@ -146,6 +148,31 @@ class Module:
     @property
     def workspace(self) -> Workspace:
         return self._ws
+
+    def inference_copy(self) -> "Module":
+        """A copy of this tree that another thread can ``forward_eval``.
+
+        Same module tree and configuration; every module starts with an
+        arena of its own (attach one across the copy, as a model does)
+        and empty view, plan and padding memos.  Parameters and running
+        statistics are *shared* read-only: ``forward_eval`` never writes
+        them, so the two trees can run at once, and sharing costs neither
+        memory nor copy time.  Per-pass state is not carried — any other
+        attribute holding an array (activation caches, BatchNorm folds)
+        starts as ``None`` — and neither is a method shimmed onto an
+        instance (a profiler's), so the copy runs its class's methods on
+        its own state.  Only ``forward_eval`` may run on the copy: its
+        ``forward`` would write the shared running statistics.
+        """
+        copy = object.__new__(type(self))
+        Module.__init__(copy)
+        fresh = vars(copy)
+        # A snapshot: a profiler may shim this module from another thread.
+        for name, value in list(vars(self).items()):
+            if name not in fresh and not isinstance(
+                    value, (types.FunctionType, types.MethodType)):
+                fresh[name] = _inference_value(name, value)
+        return copy
 
     def _buf(self, name: str, shape: tuple[int, ...],
              dtype=np.float32) -> np.ndarray:
@@ -368,6 +395,21 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+
+def _inference_value(name: str, value):
+    """One attribute of :meth:`Module.inference_copy`'s copy."""
+    if isinstance(value, Module):
+        return value.inference_copy()
+    if isinstance(value, Parameter) or name.startswith("running_"):
+        return value
+    if isinstance(value, np.ndarray):
+        return None
+    if isinstance(value, (list, tuple)):
+        if any(isinstance(item, np.ndarray) for item in value):
+            return None
+        return type(value)(_inference_value(name, item) for item in value)
+    return value
 
 
 def _folded_bn_params(conv: Module, bn: "BatchNorm2d",

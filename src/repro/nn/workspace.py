@@ -17,10 +17,12 @@ Aliasing contract (the reason this is safe without reference counting):
   share backing memory, so cross-layer data flow is unaffected.
 * A buffer's contents are valid until the *same* layer runs the *same*
   pass again.  The training loop runs ``forward`` then ``backward`` to
-  completion before the next forward, and the serving engine runs every
-  forward on one worker thread, so both satisfy the contract by
-  construction.  Concurrent passes over one model are forbidden anyway
-  (layers cache activations on ``self``).
+  completion before the next forward, and the serving engine runs each
+  model copy's forwards on one lane thread (a lane other than the first
+  forwards on a copy with an arena of its own,
+  :meth:`repro.nn.layers.Module.inference_copy`), so both satisfy the
+  contract by construction.  Concurrent passes over one model are
+  forbidden anyway (layers cache activations on ``self``).
 
 The arena is the only memory path: every module builds a workspace of
 its own, and a model shares one across its tree

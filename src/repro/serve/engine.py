@@ -1,34 +1,47 @@
 """Micro-batching inference engine.
 
-Requests from any number of client threads are funneled into one queue; a
-worker thread per *lane* drains it, groups up to ``max_batch`` requests,
-stacks each model's inputs into one NCHW batch, and runs a single generator
-forward per model on its lane.  A plain engine has one lane, running
-forwards in this process; :class:`repro.fleet.router.FleetRouter` is the
-same engine with one lane per worker process.
+Requests from any number of client threads are funneled into one queue.
+A *lane* is one drain thread: it takes up to ``max_batch`` requests from
+the queue, stacks each model's inputs into one NCHW batch, and runs a
+single generator forward per model.  A plain engine has one lane per
+usable CPU (the process's affinity mask, so ``taskset`` bounds it; the
+``lanes`` argument overrides it); :class:`repro.fleet.router.FleetRouter`
+is the same engine with one lane per worker process.
 
-Hold policy: a lane always takes every request already queued.  It also
-holds the batch open for up to ``max_wait_ms`` for stragglers, but only on
-its first batch and after a batch of more than one request.  After a lone
-request it serves the next one at once: a caller that is alone (a placer
-asking for one forecast at a time) never waits for company that is not
-coming, while concurrent traffic, which keeps producing batches of more
-than one, keeps filling them.
+Lanes form batches one at a time and run them at once.  A forming lane
+has the queue to itself (a lock held while it waits for its first
+request and any stragglers, released before the forward), so batches
+fill exactly as they would on one lane, while the forwards of
+consecutive batches overlap on different cores: an explorer's round of
+16 candidates runs as two batches of 8 side by side.
+
+Hold policy, engine-wide: a forming lane always takes every request
+already queued.  It also holds the batch open for up to ``max_wait_ms``
+for stragglers, but only on the engine's first batch and after a batch
+(on any lane) of more than one request.  After a lone request the next
+one is served at once: a caller that is alone (a placer asking for one
+forecast at a time) never waits for company that is not coming, while
+concurrent traffic, which keeps producing batches of more than one,
+keeps filling them.
 
 Because deterministic inference is batch-invariant (see
 :meth:`repro.gan.Pix2Pix.forecast`), a request's result is bitwise the same
 whether it rode a full batch or ran alone — batching is purely a throughput
 optimization, amortizing the per-forward Python and im2col overhead.
 
-Running every in-process forward on the one lane thread is also what
-makes the engine safe: the numpy layers cache activations on ``forward``,
-so a model must never run two passes concurrently.  The engine therefore
-assumes it owns its models — don't train a registered model while the
-engine is running.
+The numpy layers keep activations and arena scratch on ``self``, so one
+model must never run two passes at once.  Each lane therefore runs its
+own copy: lane 0 forwards on the registered model, and every other lane,
+on its first batch for a model, builds a
+:class:`~repro.gan.pix2pix.GeneratorReplica` from that model's generator
+(its own arena and fold caches, the weights shared read-only) and
+forwards on that, bitwise the same.  The engine assumes it owns its
+models — don't train a registered model while the engine is running.
 """
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -37,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.gan.pix2pix import GeneratorReplica
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, get_tracer
 from repro.serve.cache import ForecastCache, input_digest
@@ -72,6 +86,15 @@ class _Request:
 _STOP = object()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` bounds it), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def warm_models(registry: ModelRegistry, batch: int) -> None:
     """Preallocate every model's workspace at ``batch`` width."""
     for model_id in registry.model_ids:
@@ -82,7 +105,7 @@ def warm_models(registry: ModelRegistry, batch: int) -> None:
 
 
 class BatchingEngine:
-    """Queue + worker thread turning a :class:`ModelRegistry` into a service.
+    """Queue + lane threads turning a :class:`ModelRegistry` into a service.
 
     Parameters
     ----------
@@ -92,10 +115,10 @@ class BatchingEngine:
         Largest number of requests stacked into one forward.
     max_wait_ms:
         How long a lane holds an open batch for more arrivals after the
-        first request.  A lane holds on its first batch and after a batch
-        of more than one request; after a lone request it serves at once
-        (see the module docstring).  ``0`` never holds: every batch is
-        whatever is already queued.
+        first request.  Lanes hold on the engine's first batch and after
+        any batch of more than one request; after a lone request they
+        serve at once (see the module docstring).  ``0`` never holds:
+        every batch is whatever is already queued.
     cache:
         Optional :class:`ForecastCache`; hits resolve at submit time without
         touching the queue.
@@ -115,6 +138,12 @@ class BatchingEngine:
         ``serve_drift_*`` gauges into this engine's metrics registry.
         Monitor errors are swallowed: drift observes, it never fails a
         request.
+    lanes:
+        Drain threads, each running its own batches (see the module
+        docstring).  ``None``, the default, is one per usable CPU
+        (:func:`usable_cpus`); ``1`` runs every forward on one thread.
+        Each lane that serves holds one arena and one set of folded
+        weights per model.
     """
 
     def __init__(self, registry: ModelRegistry, max_batch: int = 8,
@@ -122,12 +151,17 @@ class BatchingEngine:
                  cache: ForecastCache | None = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 drift=None):
+                 drift=None, lanes: int | None = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_ms < 0:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        if lanes is None:
+            lanes = usable_cpus()
+        if lanes < 1:
+            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.registry = registry
+        self.lanes = lanes
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.cache = cache
@@ -135,14 +169,21 @@ class BatchingEngine:
         self.tracer = tracer if tracer is not None else get_tracer()
         self.drift = drift
         # SimpleQueue: C-implemented put/get, measurably cheaper per
-        # request than queue.Queue on the single-worker hot path.
+        # request than queue.Queue on the drain hot path.
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         # The registry is append-only (re-registration raises), so model
         # and expected-shape lookups are memoized.  The memo dict is
-        # written from every submitter thread and read by the worker, so
+        # written from every submitter thread and read by the lanes, so
         # it gets its own lock (cheap: one uncontended acquire per call).
         self._model_cache: dict[str, tuple] = {}
         self._model_lock = threading.Lock()
+        # Lanes 1.. forward on replicas, built per model on first use:
+        # {model_id: GeneratorReplica} per lane.
+        self._replicas: list[dict[str, GeneratorReplica]] = [
+            {} for _ in range(lanes - 1)]
+        # One lane forms a batch at a time; the hold flag is engine-wide.
+        self._forming = threading.Lock()
+        self._hold = True
         self._threads: list[threading.Thread] | None = None
         self._stopping = False
         # Serializes the stopping-flag check against enqueueing: a submit
@@ -182,7 +223,8 @@ class BatchingEngine:
         m.gauge("serve_queue_depth", "Requests waiting in the batch queue.",
                 fn=self._queue.qsize)
         m.gauge("serve_workspace_bytes",
-                "Scratch-arena capacity across served models.",
+                "Scratch-arena capacity across served models and their "
+                "lane replicas.",
                 fn=self._workspace_bytes)
         cache = self.cache
         if cache is not None:
@@ -200,11 +242,13 @@ class BatchingEngine:
                     fn=lambda: cache.hit_rate)
 
     def _workspace_bytes(self) -> int:
-        return sum(
-            model.workspace.nbytes
-            for model in (self.registry.get(model_id)
-                          for model_id in self.registry.model_ids)
-            if getattr(model, "workspace", None) is not None)
+        """Arena capacity of every served model and every lane's replica."""
+        models = [self.registry.get(model_id)
+                  for model_id in self.registry.model_ids]
+        for replicas in self._replicas:
+            models.extend(list(replicas.values()))
+        return sum(model.workspace.nbytes for model in models
+                   if getattr(model, "workspace", None) is not None)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -214,16 +258,18 @@ class BatchingEngine:
             thread.is_alive() for thread in self._threads)
 
     def _lanes(self) -> list:
-        """What each drain thread forwards on: one in-process lane."""
-        return [None]
+        """What each drain thread forwards on: ``None`` (the registered
+        models) for lane 0, its replica dict for every other lane."""
+        return [None, *self._replicas]
 
     def start(self) -> "BatchingEngine":
         if self._threads is not None:
             raise RuntimeError("engine is already running (or a previous "
                                "stop() timed out; see stop())")
         self._stopping = False
+        self._hold = True
         self._threads = [
-            threading.Thread(target=self._run, args=(lane,),
+            threading.Thread(target=self._run, args=(index, lane),
                              name=f"forecast-lane-{index}", daemon=True)
             for index, lane in enumerate(self._lanes())]
         for thread in self._threads:
@@ -236,8 +282,8 @@ class BatchingEngine:
         New submissions are rejected as soon as stop begins; requests still
         queued behind the stop markers fail with ``RuntimeError``.  If a
         lane is wedged in a forward longer than ``timeout``, raises
-        ``RuntimeError`` and leaves the engine as-is (so a second worker
-        can never run the same models concurrently).
+        ``RuntimeError`` and leaves the engine as-is (so a second set of
+        lanes can never run the same models concurrently).
         """
         threads = self._threads
         if threads is None:
@@ -283,7 +329,7 @@ class BatchingEngine:
         configured channels and image size.  Cache hits resolve immediately.
 
         ``timeout`` marks the request with a deadline ``timeout`` seconds
-        from now: if the worker reaches it after the deadline passed (the
+        from now: if a lane reaches it after the deadline passed (the
         caller has already given up), it is dropped instead of burning a
         batch slot on a result nobody reads, and its future fails with
         ``TimeoutError``.
@@ -357,32 +403,50 @@ class BatchingEngine:
 
         The timeout is propagated onto the queued request as a deadline,
         so a request this caller gives up on is also dropped by the
-        worker instead of occupying a batch slot.
+        lanes instead of occupying a batch slot.
         """
         return self.submit(model_id, x, timeout=timeout).result(
             timeout=timeout)
 
     # -- worker ------------------------------------------------------------
 
-    def _run(self, lane) -> None:
+    def _run(self, index: int, lane) -> None:
         # Per-lane stacking buffers: lanes stack concurrently.
         buffers: dict[tuple, np.ndarray] = {}
-        # Hold a batch open only while traffic has been concurrent: after
-        # a lone request the next caller is most likely alone too, and a
-        # hold would only delay it.  A fresh lane holds.
-        hold = True
         while True:
+            batch, stop = self._next_batch()
+            if batch is None:
+                self._idle(lane)
+                continue
+            if batch:
+                self._serve_batch(batch, index, lane, buffers)
+            if stop:
+                return
+
+    def _next_batch(self) -> tuple[list[_Request] | None, bool]:
+        """Form one batch: ``(requests, stop)``, where ``stop`` means this
+        lane took a stop marker, or ``(None, False)`` after 0.1 s idle.
+
+        The queue is this lane's until the batch is formed, so a lane
+        holding for stragglers never loses them to another lane.
+        """
+        if not self._forming.acquire(timeout=0.1):
+            return None, False
+        try:
             try:
                 first = self._queue.get(timeout=0.1)
             except queue.Empty:
-                self._idle(lane)
-                continue
+                return None, False
             if first is _STOP:
-                return
+                return [], True
             batch = [first]
+            # Hold a batch open only while traffic has been concurrent:
+            # after a lone request the next caller is most likely alone
+            # too, and a hold would only delay it.  The engine's first
+            # batch holds.
             deadline = time.perf_counter() + (
-                self.max_wait_ms / 1000.0 if hold else 0.0)
-            stop_after = False
+                self.max_wait_ms / 1000.0 if self._hold else 0.0)
+            stop = False
             while len(batch) < self.max_batch:
                 # Drain without timeout bookkeeping while requests are
                 # already queued (the saturated fast path); fall back to a
@@ -398,18 +462,18 @@ class BatchingEngine:
                     except queue.Empty:
                         break
                 if item is _STOP:
-                    stop_after = True
+                    stop = True
                     break
                 batch.append(item)
-            hold = len(batch) > 1
-            self._serve_batch(batch, lane, buffers)
-            if stop_after:
-                return
+            self._hold = len(batch) > 1
+            return batch, stop
+        finally:
+            self._forming.release()
 
     def _idle(self, lane) -> None:
         """Called when a lane finds the queue empty for 0.1 s."""
 
-    def _serve_batch(self, batch: list[_Request], lane,
+    def _serve_batch(self, batch: list[_Request], index: int, lane,
                      buffers: dict) -> None:
         tracer = self.tracer
         # Deadline check happens here — the last moment before real work
@@ -446,12 +510,20 @@ class BatchingEngine:
         with tracer.span("serve.batch", size=len(batch),
                          models=len(groups)):
             for model_id, requests in groups.items():
-                self._serve_group(lane, model_id, requests, buffers)
+                self._serve_group(index, lane, model_id, requests, buffers)
 
     def _forward(self, lane, model_id: str,
                  stacked: np.ndarray) -> np.ndarray:
         """One stacked forward on ``lane``: (N, H, W, 3) images."""
-        return self._lookup(model_id)[0].forecast(stacked)
+        model = self._lookup(model_id)[0]
+        if lane is None:
+            return model.forecast(stacked)
+        replica = lane.get(model_id)
+        if replica is None:
+            # Reads only the weights and running statistics, which lane
+            # 0's forwards never write, so lane 0 may be mid-forward.
+            replica = lane[model_id] = GeneratorReplica(model.generator)
+        return replica.forecast(stacked)
 
     def _fail(self, lane, requests: list[_Request],
               error: Exception) -> None:
@@ -459,13 +531,13 @@ class BatchingEngine:
         for request in requests:
             request.future.set_exception(error)
 
-    def _serve_group(self, lane, model_id: str, requests: list[_Request],
-                     buffers: dict) -> None:
+    def _serve_group(self, index: int, lane, model_id: str,
+                     requests: list[_Request], buffers: dict) -> None:
         try:
             stacked = self._stack_inputs(model_id, requests, buffers)
             start = time.perf_counter()
             with self.tracer.span("serve.forward", model=model_id,
-                                  batch=len(requests)):
+                                  batch=len(requests), lane=index):
                 images = self._forward(lane, model_id, stacked)
             forward_seconds = time.perf_counter() - start
         except Exception as error:  # surface to every waiting caller
@@ -562,9 +634,11 @@ class BatchingEngine:
             "latency_p99_ms": 1e3 * latency.quantile(0.99),
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
+            "lanes": self.lanes,
             "queue_depth": self._queue.qsize(),
-            # Scratch-arena capacity across served models: steady state
-            # means forwards allocate (almost) nothing per request.
+            # Scratch-arena capacity across served models and their
+            # replicas: steady state means forwards allocate (almost)
+            # nothing per request.
             "workspace_bytes": self._workspace_bytes(),
         }
         # Forecast-cache hit/miss counters, surfaced at the top level next

@@ -1,5 +1,7 @@
 """Experiment orchestration tests at smoke scale."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.flows.experiments import ABLATION_VARIANTS, AblationResult
 from repro.fpga import PlacerOptions
 from repro.fpga.generators import scaled_suite
 from repro.gan import Pix2Pix, Pix2PixConfig, Pix2PixTrainer
+from repro.gan.dataset import Dataset
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,15 @@ class TestSpeedupAndRealtime:
         report = measure_speedup(bundle, trainer, repeats=2)
         assert report.speedup > 0
         assert report.mean_route_seconds > 0
+
+    def test_speedup_times_routes_now(self, bundle, trainer):
+        """The stored per-sample route times (a cached dataset's may come
+        from an older router) do not enter the report."""
+        stale = dataclasses.replace(bundle, dataset=Dataset([
+            dataclasses.replace(sample, route_seconds=1e6)
+            for sample in bundle.dataset]))
+        report = measure_speedup(stale, trainer, repeats=1)
+        assert 0 < report.mean_route_seconds < 60.0
 
     def test_live_forecast_produces_frames(self, bundle, trainer, tmp_path):
         frames = live_forecast(

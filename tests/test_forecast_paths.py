@@ -2,7 +2,8 @@
 
 One reference — per-sample :meth:`repro.gan.Pix2Pix.forecast` — and every
 serving path pinned to it: a stacked forward, the batching engine under
-concurrent submits, its cache, HTTP over the engine (array objects and
+concurrent submits, a two-lane engine (its second lane forwards on a
+generator replica), the engine's cache, HTTP over the engine (array objects and
 nested lists), a process-worker fleet and its shared cache, HTTP over the
 fleet, a pool ``forecast`` job read back from the artifact store, and the
 eval runner's ``CheckpointForecaster``.  Deterministic inference is
@@ -59,12 +60,15 @@ def paths(tmp_path_factory):
                             max_wait_ms=2.0, cache=ForecastCache(256))
     fleet = FleetRouter.local(ckpt, workers=2, cache=ForecastCache(256))
     with ForecastServer(engine, port=0) as engine_http, \
-            ForecastServer(fleet, port=0) as fleet_http:
+            ForecastServer(fleet, port=0) as fleet_http, \
+            BatchingEngine(ModelRegistry.from_directory(ckpt), max_batch=4,
+                           max_wait_ms=2.0, lanes=2) as two_lanes:
         yield {
             "root": root,
             "ckpt": ckpt,
             "reference": reference,
             "engine": engine,
+            "two_lanes": two_lanes,
             "fleet": fleet,
             "engine_http": ForecastClient(port=engine_http.port),
             "fleet_http": ForecastClient(port=fleet_http.port),
@@ -161,6 +165,7 @@ def test_every_path_matches_per_sample_forecast(paths, seed, count,
     hits = [engine.forecast_result(MODEL, x, timeout=60.0) for x in inputs]
     assert all(result.cached for result in hits)
     check("engine cache hit", [result.image for result in hits])
+    check("two-lane engine", _concurrent(paths["two_lanes"], inputs, order))
 
     check("fleet", _concurrent(fleet, inputs, order))
     hits = [fleet.forecast_result(MODEL, x, timeout=60.0) for x in inputs]

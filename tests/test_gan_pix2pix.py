@@ -1,10 +1,13 @@
-"""Adversarial training-step tests (Section 4.4 / Figure 6)."""
+"""Adversarial training-step tests (Section 4.4 / Figure 6), and the
+inference-only generator copy a second serving lane forecasts on."""
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.config import SMOKE
-from repro.gan import Pix2Pix, Pix2PixConfig
+from repro.gan import GeneratorReplica, Pix2Pix, Pix2PixConfig
 
 
 @pytest.fixture
@@ -112,3 +115,61 @@ class TestGenerate:
         c = model.generate(x, sample_noise=False)
         d = model.generate(x, sample_noise=False)
         np.testing.assert_allclose(c, d)
+
+
+class TestGeneratorReplica:
+    @pytest.fixture
+    def trained(self, model, batch):
+        """Training steps leave activation caches, folds to invalidate
+        and moved running statistics behind."""
+        for _ in range(2):
+            model.train_step(*batch)
+        model.forecast(batch[0])
+        return model
+
+    def test_forecast_is_bitwise_the_models(self, trained):
+        x = np.random.default_rng(8).uniform(
+            -1, 1, size=(5, 4, 16, 16)).astype(np.float32)
+        replica = GeneratorReplica(trained.generator)
+        assert np.array_equal(replica.forecast(x), trained.forecast(x))
+        assert np.array_equal(replica.forecast(x[2]), trained.forecast(x[2]))
+
+    def test_shares_weights_not_state(self, trained):
+        replica = GeneratorReplica(trained.generator)
+        source = dict(trained.generator.named_modules())
+        copies = dict(replica.generator.named_modules())
+        assert source.keys() == copies.keys()
+        for path, copy in copies.items():
+            original = source[path]
+            assert type(copy) is type(original)
+            assert copy is not original
+            assert copy.workspace is replica.workspace
+            for name in ("_cache", "_fold", "_out", "_scale", "_mask",
+                         "_enc_acts"):
+                assert getattr(copy, name, None) is None, f"{path}.{name}"
+        for (_, mine), (_, theirs) in zip(
+                replica.generator.named_parameters(),
+                trained.generator.named_parameters()):
+            assert mine is theirs
+        for (_, mine), (_, theirs) in zip(
+                replica.generator._named_buffers(),
+                trained.generator._named_buffers()):
+            assert mine is theirs
+
+    def test_instance_shims_are_not_carried(self, trained, batch):
+        """Methods shimmed onto the source's modules (a profiler's) stay
+        on the source: the copy runs its class's methods."""
+        calls = []
+        for _, leaf in trained.generator.named_modules():
+            original = leaf.forward_eval
+
+            def shim(x, *args, _original=original, **kwargs):
+                calls.append(threading.current_thread().name)
+                return _original(x, *args, **kwargs)
+
+            leaf.forward_eval = shim
+        replica = GeneratorReplica(trained.generator)
+        replica.forecast(batch[0])
+        assert calls == []
+        assert not any("forward_eval" in vars(module)
+                       for _, module in replica.generator.named_modules())

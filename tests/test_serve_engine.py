@@ -1,5 +1,9 @@
-"""Micro-batching engine: equivalence, batching, caching, lifecycle."""
+"""Micro-batching engine: equivalence, batching, lanes, caching, lifecycle."""
 
+import io
+import json
+import os
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -7,7 +11,10 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from repro.obs.profile import Profiler
+from repro.obs.trace import Tracer
 from repro.serve import BatchingEngine, ForecastCache, ModelRegistry
+from repro.serve.engine import usable_cpus
 
 
 @pytest.fixture()
@@ -285,6 +292,214 @@ class _SlowForecast:
         return self._inner.forecast(x)
 
 
+def _forward_lanes(sink: io.StringIO) -> list[int]:
+    """The lane of every ``serve.forward`` span in an in-memory trace."""
+    return [record["args"]["lane"]
+            for record in map(json.loads, sink.getvalue().splitlines())
+            if record["name"] == "serve.forward"]
+
+
+class _Gate:
+    """Delegates to a real model, but its ``forecast`` waits for
+    ``release`` — parks lane 0 (the only lane that calls it)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def forecast(self, x):
+        self.entered.set()
+        self.release.wait(30.0)
+        return self._inner.forecast(x)
+
+
+def _park_lane_zero(engine, gate, x) -> Future:
+    """Submit lone requests until one is parked on lane 0; return it."""
+    for _ in range(50):
+        future = engine.submit("tiny", x)
+        while not (future.done() or gate.entered.is_set()):
+            time.sleep(0.001)
+        if gate.entered.is_set():
+            return future
+    raise AssertionError("no request reached lane 0")
+
+
+class TestLanes:
+    def test_two_lanes_match_per_sample_forecast(self, tiny_model,
+                                                 tiny_inputs):
+        """16 concurrent submits, two batches of 8 side by side: bitwise
+        the per-sample forecasts, and both lanes ran a batch (lane 0 is
+        slowed so that the second batch cannot wait for it)."""
+        inputs = np.concatenate([tiny_inputs, -tiny_inputs[:4]])
+        registry = ModelRegistry()
+        registry.register("tiny", _SlowForecast(tiny_model, delay=0.05))
+        sink = io.StringIO()
+        with BatchingEngine(registry, max_batch=8, max_wait_ms=20.0,
+                            lanes=2, tracer=Tracer(sink)) as engine:
+            futures = [engine.submit("tiny", x) for x in inputs]
+            results = [future.result(timeout=30.0) for future in futures]
+            stats = engine.stats()
+        for x, result in zip(inputs, results):
+            assert np.array_equal(result.image, tiny_model.forecast(x))
+        assert stats["lanes"] == 2
+        assert stats["batched_requests"] == 16
+        assert sorted(set(_forward_lanes(sink))) == [0, 1]
+
+    def test_replica_has_its_own_arena(self, make_model, tiny_inputs):
+        model = make_model(seed=5)
+        expected = [model.forecast(x) for x in tiny_inputs[:4]]
+        gate = _Gate(model)
+        registry = ModelRegistry()
+        registry.register("tiny", gate)
+        with BatchingEngine(registry, max_batch=8, max_wait_ms=0.0,
+                            lanes=2) as engine:
+            parked = _park_lane_zero(engine, gate, tiny_inputs[0])
+            before = (model.workspace.nbytes, model.workspace.peak_nbytes,
+                      model.workspace.num_slots)
+            batch = [engine.submit("tiny", x) for x in tiny_inputs[:4]]
+            images = [future.result(timeout=30.0).image for future in batch]
+            after = (model.workspace.nbytes, model.workspace.peak_nbytes,
+                     model.workspace.num_slots)
+            replica_bytes = engine.stats()["workspace_bytes"] - after[0]
+            gate.release.set()
+            parked.result(timeout=30.0)
+        for image, want in zip(images, expected):
+            assert np.array_equal(image, want)
+        assert after == before
+        assert replica_bytes > 0
+
+    def test_shims_on_the_registered_model_stay_on_lane_zero(
+            self, make_model, tiny_inputs):
+        """A shim on the model instance (perfbench's forward probe) and
+        profiler shims on its layers are never called by another lane:
+        the replica is built from the generator's module tree."""
+        model = make_model(seed=6)
+        callers: list[str] = []
+        original = model.forecast
+
+        def forecast(x):
+            callers.append(threading.current_thread().name)
+            return original(x)
+
+        model.forecast = forecast
+        profiler = Profiler().attach(model.generator, "G.")
+        registry = ModelRegistry()
+        registry.register("tiny", model)
+        sink = io.StringIO()
+        try:
+            with BatchingEngine(registry, max_batch=4, max_wait_ms=0.0,
+                                lanes=2, tracer=Tracer(sink)) as engine:
+                for _ in range(4):
+                    for future in [engine.submit("tiny", x)
+                                   for x in tiny_inputs[:8]]:
+                        future.result(timeout=30.0)
+        finally:
+            profiler.detach()
+        lanes = _forward_lanes(sink)
+        assert 1 in lanes
+        assert callers.count("forecast-lane-0") == lanes.count(0)
+        assert set(callers) == {"forecast-lane-0"}
+        busy = {name.split(":", 1)[1]
+                for name, entry in profiler.snapshot()["threads"].items()
+                if entry["calls"]}
+        assert busy == {"forecast-lane-0"}
+
+    def test_lone_request_after_lone_request_is_not_held(
+            self, registry, tiny_inputs):
+        """The hold flag is the engine's: a lone request that lands on a
+        lane which has not served yet is not held either."""
+        sink = io.StringIO()
+        with BatchingEngine(registry, max_batch=8, max_wait_ms=500.0,
+                            lanes=2, tracer=Tracer(sink)) as engine:
+            engine.forecast("tiny", tiny_inputs[0], timeout=30.0)
+            elapsed = []
+            for x in tiny_inputs[1:4]:
+                start = time.perf_counter()
+                engine.forecast("tiny", x, timeout=30.0)
+                elapsed.append(time.perf_counter() - start)
+            stats = engine.stats()
+        assert stats["batch_occupancy_histogram"] == {"1": 4}
+        assert max(elapsed) < 0.25
+        assert sorted(set(_forward_lanes(sink))) == [0, 1]
+
+    def test_holding_lane_keeps_its_stragglers(self, registry, tiny_inputs):
+        """A lane holding a batch open does not lose stragglers to an
+        idle lane: eight requests 20 ms apart still share one batch."""
+        with BatchingEngine(registry, max_batch=8, max_wait_ms=500.0,
+                            lanes=3) as engine:
+            for future in [engine.submit("tiny", x)
+                           for x in tiny_inputs[:2]]:
+                future.result(timeout=30.0)
+            futures = []
+            for x in tiny_inputs[2:10]:
+                futures.append(engine.submit("tiny", x))
+                time.sleep(0.02)
+            for future in futures:
+                future.result(timeout=30.0)
+            stats = engine.stats()
+        assert stats["batch_occupancy_histogram"] == {"2": 1, "8": 1}
+
+    def test_lane_count(self, registry):
+        with pytest.raises(ValueError, match="lanes"):
+            BatchingEngine(registry, lanes=0)
+        engine = BatchingEngine(registry)
+        assert engine.lanes == usable_cpus() == len(os.sched_getaffinity(0))
+        assert engine.stats()["lanes"] == engine.lanes
+
+    def test_more_lanes_than_cores_under_thread_churn(self, registry,
+                                                      tiny_model,
+                                                      tiny_inputs):
+        """Eight submitters, four lanes and a tiny switch interval: every
+        request is served once, bitwise, and the counters add up."""
+        expected = [tiny_model.forecast(x) for x in tiny_inputs]
+        results: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchingEngine(registry, max_batch=4, max_wait_ms=1.0,
+                                lanes=4) as engine:
+                def submit(offset: int) -> None:
+                    for index in range(25):
+                        item = (offset + index) % len(tiny_inputs)
+                        future = engine.submit("tiny", tiny_inputs[item])
+                        results.append((item, future))
+
+                threads = [threading.Thread(target=submit, args=(offset,))
+                           for offset in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                images = [(item, future.result(timeout=60.0).image)
+                          for item, future in results]
+                stats = engine.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(images) == 200
+        for item, image in images:
+            assert np.array_equal(image, expected[item])
+        assert stats["requests"] == stats["completed"] == 200
+        assert stats["batched_requests"] == 200
+        assert sum(int(size) * count for size, count in
+                   stats["batch_occupancy_histogram"].items()) == 200
+
+    def test_stop_drains_every_lane(self, registry, tiny_model, tiny_inputs):
+        engine = BatchingEngine(registry, max_batch=2, max_wait_ms=0.0,
+                                lanes=3)
+        engine.start()
+        futures = [engine.submit("tiny", x) for x in tiny_inputs]
+        engine.stop()
+        assert not engine.running
+        for x, future in zip(tiny_inputs, futures):
+            assert np.array_equal(future.result(timeout=0).image,
+                                  tiny_model.forecast(x))
+
+
 class TestShutdownRaces:
     def test_submit_vs_stop_no_hung_futures(self, registry, tiny_inputs):
         """Regression: submit racing stop used to enqueue after the
@@ -334,8 +549,10 @@ class TestDeadlines:
         TimeoutError and count in the expired metric."""
         registry = ModelRegistry()
         registry.register("tiny", _SlowForecast(tiny_model, delay=0.3))
-        with BatchingEngine(registry, max_batch=1,
-                            max_wait_ms=0.0) as engine:
+        # One lane: the premise is a lane held busy by the blocker (a
+        # second lane would serve the doomed requests before they expire).
+        with BatchingEngine(registry, max_batch=1, max_wait_ms=0.0,
+                            lanes=1) as engine:
             blocker = engine.submit("tiny", tiny_inputs[0])
             time.sleep(0.05)             # let the worker take the blocker
             doomed = [engine.submit("tiny", x, timeout=0.05)
