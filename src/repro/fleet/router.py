@@ -1,7 +1,7 @@
 """Multi-worker serve front: one batching engine, N worker processes.
 
 The single-process :class:`~repro.serve.engine.BatchingEngine` runs its
-forwards on one lane thread per usable CPU, all in this process.
+forwards on up to one lane thread per usable CPU, all in this process.
 :class:`FleetRouter` *is* that engine with one drain lane per
 :class:`ProcessWorker`: requests are validated, cached, deadlined and
 batched once, at the front, and each lane ships its stacked batch down
@@ -11,12 +11,15 @@ directory.  A model never runs two forwards concurrently because each
 child has exactly one lane feeding it.
 
 Because the front is the engine, everything the engine does holds for a
-fleet unchanged — the shared content-addressed forecast cache (a result
-computed by worker 2 serves a repeat that worker 0 would have run), the
-``serve_*`` metrics, expiry of requests whose caller gave up, and
-bitwise-identical images to a single engine (deterministic inference is
-batch-invariant).  :class:`repro.serve.http.ForecastServer` serves a
-fleet as it serves an engine, and is the one publisher of its registry.
+fleet unchanged — batch formation (one lane at a time, the lowest free
+lane first: a lone caller's requests all go to worker 0, and the next
+worker takes a batch only while every lower one is busy), the shared
+content-addressed forecast cache (a result computed by worker 2 serves a
+repeat that worker 0 would have run), the ``serve_*`` metrics, expiry of
+requests whose caller gave up, and bitwise-identical images to a single
+engine (deterministic inference is batch-invariant).
+:class:`repro.serve.http.ForecastServer` serves a fleet as it serves an
+engine, and is the one publisher of its registry.
 
 The router adds only what a fleet needs:
 
@@ -319,8 +322,12 @@ class FleetRouter(BatchingEngine):
     ``registry`` holds the served models' metadata in this process (for
     validation and ``/v1/models``); the forwards run in the workers.
     ``max_batch`` and ``max_wait_ms`` shape the batches formed here, at
-    the front; the lanes share the engine's hold policy.
+    the front; the lanes share the engine's batch formation and hold
+    policy.
     """
+
+    # An idle lane checks on its worker (see _idle).
+    _idle_seconds = 0.1
 
     def __init__(self, workers: list, registry: ModelRegistry,
                  cache: ForecastCache | None = None,

@@ -203,12 +203,15 @@ class DesignBundle(DesignContext):
     spec: DesignSpec
     dataset: Dataset
 
+    def placement(self, index: int) -> Placement:
+        """Sample ``index``'s placement, re-annealed from its
+        ``placer_options`` exactly as :func:`route_and_render` placed it."""
+        return self.place(PlacerOptions(**self.dataset[index].placer_options))
+
     @cached_property
     def placements(self) -> list[Placement]:
-        """Each sample's placement, re-annealed on first read from its
-        ``placer_options`` exactly as :func:`route_and_render` placed it."""
-        return [self.place(PlacerOptions(**sample.placer_options))
-                for sample in self.dataset]
+        """Every sample's :meth:`placement`, annealed on first read."""
+        return [self.placement(index) for index in range(len(self.dataset))]
 
     @property
     def channel_mask(self) -> np.ndarray:

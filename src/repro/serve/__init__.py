@@ -8,9 +8,9 @@ package turns trained checkpoints into a long-lived concurrent service:
 * :mod:`repro.serve.registry` — discover and warm-load ``.npz`` checkpoints
   into ready :class:`~repro.gan.Pix2Pix` models, with metadata.
 * :mod:`repro.serve.engine`   — micro-batching inference engine: lane
-  threads, one per usable CPU, stack queued requests into batched
-  forwards (bitwise equal to per-request inference), with a
-  content-addressed LRU cache.
+  threads, up to one per usable CPU and the lowest free first, stack
+  queued requests into batched forwards (bitwise equal to per-request
+  inference), with a content-addressed LRU cache.
 * :mod:`repro.serve.cache`    — the forecast cache.
 * :mod:`repro.serve.http`     — stdlib ``ThreadingHTTPServer`` JSON API
   (``/v1/forecast``, ``/v1/models``, ``/healthz``, ``/metrics``).

@@ -3,17 +3,21 @@
 Requests from any number of client threads are funneled into one queue.
 A *lane* is one drain thread: it takes up to ``max_batch`` requests from
 the queue, stacks each model's inputs into one NCHW batch, and runs a
-single generator forward per model.  A plain engine has one lane per
-usable CPU (the process's affinity mask, so ``taskset`` bounds it; the
-``lanes`` argument overrides it); :class:`repro.fleet.router.FleetRouter`
+single generator forward per model.  A plain engine has up to one lane
+per usable CPU (the process's affinity mask, so ``taskset`` bounds it;
+the ``lanes`` argument overrides it); :class:`repro.fleet.router.FleetRouter`
 is the same engine with one lane per worker process.
 
-Lanes form batches one at a time and run them at once.  A forming lane
-has the queue to itself (a lock held while it waits for its first
-request and any stragglers, released before the forward), so batches
-fill exactly as they would on one lane, while the forwards of
-consecutive batches overlap on different cores: an explorer's round of
-16 candidates runs as two batches of 8 side by side.
+Lanes form batches one at a time, lowest free lane first.  A lane that is
+not running a batch is *free*; a request that finds no lane forming hands
+the queue to the lowest-numbered free lane, which keeps it (stragglers
+included) until its batch is formed.  So batches fill exactly as they
+would on one lane, lane *k* only forms a batch while lanes 0 to *k* - 1
+are all busy, and the forwards of consecutive batches overlap on
+different cores: an explorer's round of 16 candidates runs as two
+batches of 8 side by side, while a lone caller only ever uses lane 0.
+How many lanes run is set by the concurrency the traffic brings, with
+the lane count as its ceiling.
 
 Hold policy, engine-wide: a forming lane always takes every request
 already queued.  It also holds the batch open for up to ``max_wait_ms``
@@ -35,8 +39,9 @@ own copy: lane 0 forwards on the registered model, and every other lane,
 on its first batch for a model, builds a
 :class:`~repro.gan.pix2pix.GeneratorReplica` from that model's generator
 (its own arena and fold caches, the weights shared read-only) and
-forwards on that, bitwise the same.  The engine assumes it owns its
-models — don't train a registered model while the engine is running.
+forwards on that, bitwise the same.  A lane that never forms a batch
+never builds one.  The engine assumes it owns its models — don't train a
+registered model while the engine is running.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import os
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 
@@ -95,6 +101,88 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _LaneQueue:
+    """The request queue, handed to one forming lane at a time.
+
+    A lane is *free* while it waits for its turn, and the lane holding the
+    queue is its *former*.  An item that arrives while no lane forms makes
+    the lowest free lane the former; a former that has formed its batch
+    (:meth:`end_turn`) passes the queue on to the lowest free lane if items
+    are still waiting, and otherwise no lane holds it until the next item.
+    Invariant: whenever items wait and a lane is free, some lane forms.
+    """
+
+    def __init__(self, lanes: int):
+        self._lock = threading.Lock()
+        self._items: deque = deque()
+        self._free = [False] * lanes
+        self._former: int | None = None
+        # One condition per lane, so that an arrival wakes only the former.
+        self._wakeups = [threading.Condition(self._lock)
+                         for _ in range(lanes)]
+
+    def _lowest_free(self) -> int | None:
+        try:
+            return self._free.index(True)
+        except ValueError:
+            return None
+
+    def put(self, item) -> None:
+        with self._lock:
+            self._items.append(item)
+            if self._former is None:
+                self._former = self._lowest_free()
+            if self._former is not None:
+                self._wakeups[self._former].notify()
+
+    def qsize(self) -> int:
+        return len(self._items)
+
+    def get_nowait(self):
+        """The oldest item, or ``queue.Empty``: for a stopped engine's
+        final drain, when no lane is left to form."""
+        with self._lock:
+            if not self._items:
+                raise queue.Empty
+            return self._items.popleft()
+
+    def wait_turn(self, lane: int, timeout: float | None):
+        """Wait, free, until ``lane`` forms; its first item, or ``None``
+        (and the lane no longer free) after ``timeout`` seconds."""
+        with self._lock:
+            self._free[lane] = True
+            if self._former is None and self._items:
+                self._former = lane     # every other lane is busy
+            if self._former != lane:
+                self._wakeups[lane].wait(timeout)
+                if self._former != lane:
+                    self._free[lane] = False
+                    return None
+            return self._items.popleft()
+
+    def get(self, lane: int, deadline: float):
+        """The former's next item, waiting until ``deadline`` (a
+        ``perf_counter`` time) for one to arrive; ``None`` after it."""
+        with self._lock:
+            while not self._items:
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    return None
+                self._wakeups[lane].wait(remaining)
+            return self._items.popleft()
+
+    def end_turn(self, lane: int) -> None:
+        """``lane`` has formed its batch and is busy until it next waits
+        for a turn."""
+        with self._lock:
+            self._free[lane] = False
+            self._former = None
+            if self._items:
+                self._former = self._lowest_free()
+                if self._former is not None:
+                    self._wakeups[self._former].notify()
+
+
 def warm_models(registry: ModelRegistry, batch: int) -> None:
     """Preallocate every model's workspace at ``batch`` width."""
     for model_id in registry.model_ids:
@@ -139,12 +227,17 @@ class BatchingEngine:
         Monitor errors are swallowed: drift observes, it never fails a
         request.
     lanes:
-        Drain threads, each running its own batches (see the module
+        Drain threads, the most batches that run at once (see the module
         docstring).  ``None``, the default, is one per usable CPU
         (:func:`usable_cpus`); ``1`` runs every forward on one thread.
-        Each lane that serves holds one arena and one set of folded
-        weights per model.
+        A lane is used only while every lower lane is busy, and each lane
+        that has served holds one arena and one set of folded weights per
+        model.
     """
+
+    #: Seconds a free lane waits for a batch to form before it calls
+    #: :meth:`_idle`; ``None``: it just waits.
+    _idle_seconds: float | None = None
 
     def __init__(self, registry: ModelRegistry, max_batch: int = 8,
                  max_wait_ms: float = 2.0,
@@ -168,9 +261,7 @@ class BatchingEngine:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.drift = drift
-        # SimpleQueue: C-implemented put/get, measurably cheaper per
-        # request than queue.Queue on the drain hot path.
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._queue = _LaneQueue(lanes)
         # The registry is append-only (re-registration raises), so model
         # and expected-shape lookups are memoized.  The memo dict is
         # written from every submitter thread and read by the lanes, so
@@ -181,8 +272,7 @@ class BatchingEngine:
         # {model_id: GeneratorReplica} per lane.
         self._replicas: list[dict[str, GeneratorReplica]] = [
             {} for _ in range(lanes - 1)]
-        # One lane forms a batch at a time; the hold flag is engine-wide.
-        self._forming = threading.Lock()
+        # Read and written only by the forming lane, one at a time.
         self._hold = True
         self._threads: list[threading.Thread] | None = None
         self._stopping = False
@@ -414,7 +504,7 @@ class BatchingEngine:
         # Per-lane stacking buffers: lanes stack concurrently.
         buffers: dict[tuple, np.ndarray] = {}
         while True:
-            batch, stop = self._next_batch()
+            batch, stop = self._next_batch(index)
             if batch is None:
                 self._idle(lane)
                 continue
@@ -423,20 +513,14 @@ class BatchingEngine:
             if stop:
                 return
 
-    def _next_batch(self) -> tuple[list[_Request] | None, bool]:
-        """Form one batch: ``(requests, stop)``, where ``stop`` means this
-        lane took a stop marker, or ``(None, False)`` after 0.1 s idle.
-
-        The queue is this lane's until the batch is formed, so a lane
-        holding for stragglers never loses them to another lane.
-        """
-        if not self._forming.acquire(timeout=0.1):
+    def _next_batch(self, index: int) -> tuple[list[_Request] | None, bool]:
+        """Form one batch on lane ``index``: ``(requests, stop)``, where
+        ``stop`` means the lane took a stop marker, or ``(None, False)``
+        after :attr:`_idle_seconds` without a turn."""
+        first = self._queue.wait_turn(index, self._idle_seconds)
+        if first is None:
             return None, False
         try:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                return None, False
             if first is _STOP:
                 return [], True
             batch = [first]
@@ -448,19 +532,9 @@ class BatchingEngine:
                 self.max_wait_ms / 1000.0 if self._hold else 0.0)
             stop = False
             while len(batch) < self.max_batch:
-                # Drain without timeout bookkeeping while requests are
-                # already queued (the saturated fast path); fall back to a
-                # deadline wait only when the queue momentarily runs dry.
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
+                item = self._queue.get(index, deadline)
+                if item is None:
+                    break
                 if item is _STOP:
                     stop = True
                     break
@@ -468,10 +542,11 @@ class BatchingEngine:
             self._hold = len(batch) > 1
             return batch, stop
         finally:
-            self._forming.release()
+            self._queue.end_turn(index)
 
     def _idle(self, lane) -> None:
-        """Called when a lane finds the queue empty for 0.1 s."""
+        """Called when a lane has had no batch to form for
+        :attr:`_idle_seconds`; the lane takes no batch until it returns."""
 
     def _serve_batch(self, batch: list[_Request], index: int, lane,
                      buffers: dict) -> None:

@@ -40,9 +40,10 @@ one ``obs_dir`` aggregates under ``repro obs agg``/``top``.
 A ``ThreadingHTTPServer`` handles each connection on its own thread; all
 inference funnels through the engine's one queue, so concurrent HTTP
 clients are exactly what fills its micro-batches (on the engine's lanes,
-one per usable CPU, or on a fleet's worker lanes).  A connection that stops sending for
-:data:`READ_TIMEOUT_SECONDS` is dropped — mid-body with a 408 — so a
-stalled client cannot hold a handler thread forever.
+up to one per usable CPU, or on a fleet's worker lanes).  A connection
+that stops sending for :data:`READ_TIMEOUT_SECONDS` is dropped —
+mid-body with a 408 — so a stalled client cannot hold a handler thread
+forever.
 """
 
 from __future__ import annotations

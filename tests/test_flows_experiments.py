@@ -161,6 +161,7 @@ class TestSpeedupAndRealtime:
             for sample in bundle.dataset]))
         report = measure_speedup(stale, trainer, repeats=1)
         assert 0 < report.mean_route_seconds < 60.0
+        assert "placements" not in vars(stale)   # not every one annealed
 
     def test_live_forecast_produces_frames(self, bundle, trainer, tmp_path):
         frames = live_forecast(

@@ -318,14 +318,11 @@ class _Gate:
 
 
 def _park_lane_zero(engine, gate, x) -> Future:
-    """Submit lone requests until one is parked on lane 0; return it."""
-    for _ in range(50):
-        future = engine.submit("tiny", x)
-        while not (future.done() or gate.entered.is_set()):
-            time.sleep(0.001)
-        if gate.entered.is_set():
-            return future
-    raise AssertionError("no request reached lane 0")
+    """Submit a lone request and wait until it is parked on lane 0, the
+    lowest free lane; return it."""
+    future = engine.submit("tiny", x)
+    assert gate.entered.wait(30.0), "no request reached lane 0"
+    return future
 
 
 class TestLanes:
@@ -408,23 +405,48 @@ class TestLanes:
                 if entry["calls"]}
         assert busy == {"forecast-lane-0"}
 
+    def test_lone_requests_stay_on_lane_zero(self, tiny_model,
+                                             tiny_inputs):
+        """A lone caller never finds lane 0 busy, so no other lane forms
+        a batch or builds a replica."""
+        registry = ModelRegistry()
+        registry.register("tiny", tiny_model)
+        sink = io.StringIO()
+        with BatchingEngine(registry, max_batch=8, max_wait_ms=0.0,
+                            lanes=3, tracer=Tracer(sink)) as engine:
+            for x in tiny_inputs:
+                engine.forecast("tiny", x, timeout=30.0)
+            time.sleep(0.25)    # a pause between callers changes nothing
+            engine.forecast("tiny", tiny_inputs[0], timeout=30.0)
+            stats = engine.stats()
+        assert _forward_lanes(sink) == [0] * (len(tiny_inputs) + 1)
+        assert stats["workspace_bytes"] == tiny_model.workspace.nbytes
+
     def test_lone_request_after_lone_request_is_not_held(
-            self, registry, tiny_inputs):
-        """The hold flag is the engine's: a lone request that lands on a
-        lane which has not served yet is not held either."""
+            self, make_model, tiny_inputs):
+        """The hold flag is the engine's: a lone request that lane 1
+        takes while lane 0 is busy is not held, although lane 1 has not
+        served before."""
+        gate = _Gate(make_model(seed=7))
+        gate.release.set()
+        registry = ModelRegistry()
+        registry.register("tiny", gate)
         sink = io.StringIO()
         with BatchingEngine(registry, max_batch=8, max_wait_ms=500.0,
                             lanes=2, tracer=Tracer(sink)) as engine:
             engine.forecast("tiny", tiny_inputs[0], timeout=30.0)
-            elapsed = []
-            for x in tiny_inputs[1:4]:
-                start = time.perf_counter()
-                engine.forecast("tiny", x, timeout=30.0)
-                elapsed.append(time.perf_counter() - start)
+            gate.release.clear()
+            gate.entered.clear()
+            parked = _park_lane_zero(engine, gate, tiny_inputs[1])
+            start = time.perf_counter()
+            engine.forecast("tiny", tiny_inputs[2], timeout=30.0)
+            elapsed = time.perf_counter() - start
+            gate.release.set()
+            parked.result(timeout=30.0)
             stats = engine.stats()
-        assert stats["batch_occupancy_histogram"] == {"1": 4}
-        assert max(elapsed) < 0.25
-        assert sorted(set(_forward_lanes(sink))) == [0, 1]
+        assert stats["batch_occupancy_histogram"] == {"1": 3}
+        assert elapsed < 0.25
+        assert sorted(_forward_lanes(sink)) == [0, 0, 1]
 
     def test_holding_lane_keeps_its_stragglers(self, registry, tiny_inputs):
         """A lane holding a batch open does not lose stragglers to an
