@@ -21,7 +21,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.config import ExperimentScale
 from repro.fpga.arch import BlockType
@@ -166,6 +165,8 @@ def generate_design(
         t = rng.random()
         positions[block_id] = [
             (t, 0.0), (t, 1.0), (0.0, t), (1.0, t)][edge]
+
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(positions)
     k_neighbors = min(neighborhood + 1, len(blocks))

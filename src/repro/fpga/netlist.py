@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.fpga.arch import BlockType
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,8 @@ class Netlist:
 
     def to_networkx(self) -> nx.DiGraph:
         """Directed graph view: driver -> sink edges, block attrs on nodes."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for block in self.blocks:
             graph.add_node(block.id, name=block.name, type=block.type.value)
@@ -159,6 +164,8 @@ class Netlist:
         Cycles (from sequential feedback) are broken by ignoring back edges
         discovered on the fly; levels feed the criticality placement mode.
         """
+        import networkx as nx
+
         graph = self.to_networkx()
         levels = {block.id: 0 for block in self.blocks}
         try:

@@ -12,12 +12,14 @@ placements should carry shorter critical paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.fpga.netlist import Netlist
 from repro.fpga.placement import Placement
 from repro.fpga.router import RoutingResult
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,8 @@ class TimingAnalyzer:
         return self.logic_delay + self.wire_delay * (dx + dy)
 
     def _build_graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(block.id for block in self.netlist.blocks)
         for net in self.netlist.nets:
@@ -79,6 +83,8 @@ class TimingAnalyzer:
 
     def arrival_times(self) -> dict[int, float]:
         """Latest arrival time at every block (sources arrive at 0)."""
+        import networkx as nx
+
         arrivals = {node: 0.0 for node in self._graph.nodes}
         for node in nx.topological_sort(self._graph):
             for _, successor, data in self._graph.out_edges(node, data=True):

@@ -215,6 +215,28 @@ class TestServeCommand:
         assert process.returncode == 0, stdout
         assert "shutting down" in stdout
 
+    def test_serving_path_never_imports_scipy_or_networkx(self):
+        """``repro serve``, ``fleet up``, ``eval run`` and ``data
+        verify/stats/merge`` start without scipy or networkx: only design
+        generation and timing analysis call them."""
+        import subprocess
+        import sys
+
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import repro.fpga, repro.cli, repro.serve, repro.obs.drift\n"
+            "import repro.fleet.router, repro.eval.runner, repro.data.store\n"
+            "loaded = sorted({'scipy', 'networkx'} & set(sys.modules))\n"
+            "assert not loaded, f'imported {loaded}'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": source_root, "PATH": "/usr/bin:/bin"})
+        assert result.returncode == 0, result.stderr
+
 
 class TestCheckpointing:
     def test_pix2pix_save_load_roundtrip(self, tmp_path):

@@ -527,33 +527,45 @@ class TestShutdownRaces:
         """Regression: submit racing stop used to enqueue after the
         worker exited, leaving futures that never resolved.  Every
         accepted future must be settled once stop() returns; late
-        arrivals must be rejected loudly, never parked."""
+        arrivals must be rejected loudly, never parked.
+
+        A short switch interval hands the interpreter to ``stop()`` within
+        tens of submits; at the default 5 ms the submitter queues hundreds
+        of requests per round, and ``stop()`` serves them all."""
         x = tiny_inputs[0]
-        for _ in range(200):
-            engine = BatchingEngine(registry, max_batch=4,
-                                    max_wait_ms=0.0)
-            engine.start()
-            accepted: list = []
-            rejected = threading.Event()
+        raced = 0                        # rounds that accepted, then rejected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for _ in range(200):
+                engine = BatchingEngine(registry, max_batch=4,
+                                        max_wait_ms=0.0)
+                engine.start()
+                accepted: list = []
+                rejected = threading.Event()
 
-            def submit_until_rejected():
-                while True:
-                    try:
-                        accepted.append(engine.submit("tiny", x))
-                    except RuntimeError:
-                        rejected.set()
-                        return
+                def submit_until_rejected():
+                    while True:
+                        try:
+                            accepted.append(engine.submit("tiny", x))
+                        except RuntimeError:
+                            rejected.set()
+                            return
 
-            submitter = threading.Thread(target=submit_until_rejected)
-            submitter.start()
-            engine.stop()
-            submitter.join(timeout=30.0)
-            assert not submitter.is_alive()
-            assert rejected.is_set()     # the race ended in a clean reject
-            for future in accepted:
-                assert future.done()     # settled: result or exception
-                if future.exception() is not None:
-                    assert isinstance(future.exception(), TimeoutError)
+                submitter = threading.Thread(target=submit_until_rejected)
+                submitter.start()
+                engine.stop()
+                submitter.join(timeout=30.0)
+                assert not submitter.is_alive()
+                assert rejected.is_set()  # the race ended in a clean reject
+                for future in accepted:
+                    assert future.done()  # settled: result or exception
+                    if future.exception() is not None:
+                        assert isinstance(future.exception(), TimeoutError)
+                raced += bool(accepted)
+        finally:
+            sys.setswitchinterval(interval)
+        assert raced > 0                 # submits did race the stop
 
     def test_submit_after_stop_rejected(self, registry, tiny_inputs):
         engine = BatchingEngine(registry)
